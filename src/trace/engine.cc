@@ -111,6 +111,19 @@ ExecEngine::fastForward(std::uint64_t n)
 }
 
 void
+ExecEngine::skipStraight(std::uint64_t n)
+{
+    cfl_assert(trace_ == nullptr && !hasPeek_,
+               "skipStraight outside plain generation");
+    cfl_assert(n <= program_.straightRunAt(pc_),
+               "skipStraight of %llu over a branch at %llx",
+               static_cast<unsigned long long>(n),
+               static_cast<unsigned long long>(pc_));
+    pc_ += n * kInstBytes;
+    instCount_ += n;
+}
+
+void
 ExecEngine::restoreSnapshot(const EngineSnapshot &snap)
 {
     trace_.reset();
@@ -172,15 +185,22 @@ ExecEngine::generate()
     cur_.kind = kind;
     cur_.requestId = static_cast<std::uint32_t>(requestCount_);
 
+    // Every branch kind carries metadata (ProgramBuilder::finish checks
+    // it against the decoded image); look it up once, checked.
+    const BranchInfo *info = nullptr;
+    if (kind != BranchKind::None) {
+        info = program_.branchAt(pc_);
+        cfl_assert(info != nullptr, "%s without metadata at %llx",
+                   branchKindName(kind).c_str(),
+                   static_cast<unsigned long long>(pc_));
+    }
+
     switch (kind) {
       case BranchKind::None:
         cur_.taken = false;
         break;
 
       case BranchKind::Cond: {
-        const BranchInfo *info = program_.branchAt(pc_);
-        cfl_assert(info != nullptr, "conditional without metadata at %llx",
-                   static_cast<unsigned long long>(pc_));
         if (info->isLoopBack) {
             // The backedge is taken until the per-invocation trip count is
             // reached, then falls through and resets.
@@ -202,25 +222,19 @@ ExecEngine::generate()
         break;
       }
 
-      case BranchKind::Uncond: {
-        const BranchInfo *info = program_.branchAt(pc_);
+      case BranchKind::Uncond:
         cur_.taken = true;
         cur_.target = info->target;
         break;
-      }
 
-      case BranchKind::Call: {
-        const BranchInfo *info = program_.branchAt(pc_);
+      case BranchKind::Call:
         cur_.taken = true;
         cur_.target = info->target;
         stack_.push_back(pc_ + kInstBytes);
         break;
-      }
 
       case BranchKind::IndCall:
       case BranchKind::IndJump: {
-        const BranchInfo *info = program_.branchAt(pc_);
-        cfl_assert(info != nullptr, "indirect without metadata");
         const auto &targets = program_.indirectSets[info->indirectSet];
         if (pc_ == program_.dispatchCallPc) {
             // Request boundary: draw the next request type (Zipf over

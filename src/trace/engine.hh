@@ -120,6 +120,19 @@ class ExecEngine
      */
     void fastForward(std::uint64_t n);
 
+    /** PC of the instruction generation executes next. */
+    Addr generationPc() const { return pc_; }
+
+    /**
+     * Generation mode, no peek pending: advance past the next @p n
+     * instructions, which must all be non-branches
+     * (n <= program().straightRunAt(generationPc())). Bit-identical to
+     * n calls to next(), whose results are not materialized: each would
+     * be {pc + 4k, None, not taken, target 0, requestCount()}. The
+     * TraceBuffer builder writes such runs straight into its columns.
+     */
+    void skipStraight(std::uint64_t n);
+
     /** Capture the current generator state (generation mode only). */
     EngineSnapshot snapshot() const;
 

@@ -14,6 +14,14 @@
  * The buffer also carries the generator state snapshot taken *after*
  * instruction N-1, so an engine that consumes past the buffered prefix
  * seamlessly resumes live generation with a bit-identical stream.
+ *
+ * Building a buffer steps the ExecEngine only at branches. Each
+ * straight-line run (Program::straightRunAt) is written as one column
+ * fill and skipped in the engine, so the stored stream equals the
+ * per-instruction ExecEngine::next() stream bit for bit. The arena is
+ * not value-initialised, since every byte is written, and it can come
+ * from an evicted buffer of the same size (TraceCache reuses it already
+ * faulted in).
  */
 
 #ifndef CFL_TRACE_TRACE_BUFFER_HH
@@ -30,16 +38,28 @@
 namespace cfl
 {
 
+/** The storage a TraceBuffer's columns are carved from. */
+struct TraceArena
+{
+    std::unique_ptr<std::byte[]> bytes;
+    std::uint64_t size = 0;
+};
+
 /** One immutable pre-generated instruction trace. */
 class TraceBuffer
 {
   public:
     /**
      * Generate the first @p num_insts instructions of
-     * ExecEngine(program, params) into a fresh arena.
+     * ExecEngine(program, params) into @p arena, which must then hold
+     * exactly arenaBytesFor(num_insts) bytes, or into a fresh arena
+     * when none is given.
      */
     TraceBuffer(const Program &program, const EngineParams &params,
-                std::uint64_t num_insts);
+                std::uint64_t num_insts, TraceArena arena = {});
+
+    /** Take the arena of @p buf, which nothing else may reference. */
+    static TraceArena reclaimArena(std::shared_ptr<TraceBuffer> buf);
 
     TraceBuffer(const TraceBuffer &) = delete;
     TraceBuffer &operator=(const TraceBuffer &) = delete;
@@ -86,7 +106,7 @@ class TraceBuffer
     const EngineParams &params() const { return tail_.params; }
 
     /** Arena footprint in bytes (for cache budgeting). */
-    std::uint64_t arenaBytes() const { return arenaBytes_; }
+    std::uint64_t arenaBytes() const { return arena_.size; }
 
     /** Arena bytes a buffer of @p num_insts instructions will occupy. */
     static std::uint64_t
@@ -98,8 +118,7 @@ class TraceBuffer
 
   private:
     std::uint64_t numInsts_;
-    std::uint64_t arenaBytes_;
-    std::unique_ptr<std::byte[]> arena_;
+    TraceArena arena_;
 
     // Column views into the arena.
     const Addr *pc_ = nullptr;

@@ -43,7 +43,7 @@ budgetFromEnv()
 struct TraceCache::Entry
 {
     std::mutex genMutex;
-    std::shared_ptr<const TraceBuffer> buf;
+    std::shared_ptr<TraceBuffer> buf;
     std::uint64_t charged = 0;
     std::uint64_t lastUse = 0;
 };
@@ -56,20 +56,22 @@ TraceCache::TraceCache(std::uint64_t budget_bytes)
 void
 TraceCache::setBudgetBytes(std::uint64_t bytes)
 {
+    Evicted evicted;  // released after the lock
     std::lock_guard<std::mutex> lock(mutex_);
     budgetBytes_ = bytes;
-    makeRoom(0);
+    makeRoom(0, evicted);
 }
 
 void
 TraceCache::clear()
 {
+    Evicted evicted;  // released after the lock
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto &[key, entry] : entries_) {
         if (entry->buf != nullptr && entry->buf.use_count() == 1) {
             chargedBytes_ -= entry->charged;
             entry->charged = 0;
-            entry->buf.reset();
+            evicted.push_back(std::move(entry->buf));
         }
     }
 }
@@ -116,13 +118,22 @@ TraceCache::bypasses() const
     return bypasses_;
 }
 
+std::uint64_t
+TraceCache::reusedArenas() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return reusedArenas_;
+}
+
 bool
-TraceCache::makeRoom(std::uint64_t needed, const Entry *exclude)
+TraceCache::makeRoom(std::uint64_t needed, Evicted &evicted,
+                     const Entry *exclude)
 {
     // Caller holds mutex_. Drop idle buffers (the cache holds the only
-    // reference) in LRU order until the new trace fits. @p exclude is
-    // the entry being refreshed: its old buffer's charge is accounted
-    // separately by the caller.
+    // reference) in LRU order until the new trace fits; they move to
+    // @p evicted, which the caller releases (or reuses) unlocked.
+    // @p exclude is the entry being refreshed: its old buffer's charge
+    // is accounted separately by the caller.
     while (chargedBytes_ + needed > budgetBytes_) {
         Entry *victim = nullptr;
         for (auto &[key, entry] : entries_) {
@@ -136,7 +147,7 @@ TraceCache::makeRoom(std::uint64_t needed, const Entry *exclude)
             return false;
         chargedBytes_ -= victim->charged;
         victim->charged = 0;
-        victim->buf.reset();
+        evicted.push_back(std::move(victim->buf));
     }
     return true;
 }
@@ -176,6 +187,7 @@ TraceCache::acquire(WorkloadId workload, std::uint64_t seed,
     std::lock_guard<std::mutex> gen(entry->genMutex);
 
     const std::uint64_t bytes = TraceBuffer::arenaBytesFor(length);
+    Evicted evicted;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (entry->buf != nullptr && entry->buf->size() >= min_insts) {
@@ -187,7 +199,8 @@ TraceCache::acquire(WorkloadId workload, std::uint64_t seed,
         // fit, so a failed fit keeps the shorter trace servable.
         const std::uint64_t old_charge = entry->charged;
         chargedBytes_ -= old_charge;
-        if (bytes > budgetBytes_ || !makeRoom(bytes, entry.get())) {
+        if (bytes > budgetBytes_ ||
+            !makeRoom(bytes, evicted, entry.get())) {
             chargedBytes_ += old_charge;
             ++bypasses_;
             return nullptr;
@@ -195,19 +208,32 @@ TraceCache::acquire(WorkloadId workload, std::uint64_t seed,
         if (entry->buf != nullptr) {
             // External holders keep their shared view alive.
             entry->charged = 0;
-            entry->buf.reset();
+            evicted.push_back(std::move(entry->buf));
         }
         chargedBytes_ += bytes;  // reserve before the unlocked generation
     }
 
-    std::shared_ptr<const TraceBuffer> buf;
+    // Nothing but `evicted` can reach the evicted buffers any more, so a
+    // use count of 1 stays 1: build the new trace in the first arena of
+    // the right size and free the rest before generating.
+    TraceArena arena;
+    for (std::shared_ptr<TraceBuffer> &victim : evicted) {
+        if (victim.use_count() == 1 && victim->arenaBytes() == bytes) {
+            arena = TraceBuffer::reclaimArena(std::move(victim));
+            break;
+        }
+    }
+    const bool reused = arena.bytes != nullptr;
+    evicted.clear();
+
+    std::shared_ptr<TraceBuffer> buf;
     try {
         const Program &program = workloadProgram(workload);
         const WorkloadParams wparams = workloadParams(workload);
         buf = std::make_shared<TraceBuffer>(
             program, EngineParams{seed, wparams.zipfSkew,
                                   wparams.branchNoise},
-            length);
+            length, std::move(arena));
     } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
         chargedBytes_ -= bytes;
@@ -219,6 +245,8 @@ TraceCache::acquire(WorkloadId workload, std::uint64_t seed,
     entry->buf = buf;
     entry->charged = bytes;
     ++misses_;
+    if (reused)
+        ++reusedArenas_;
     return buf;
 }
 

@@ -16,6 +16,12 @@
  * trace cannot fit even after eviction, acquire() returns nullptr and
  * the caller simply keeps generating live — behaviour is bit-identical
  * either way, only the speed differs.
+ *
+ * When making room evicts an idle buffer whose arena is exactly the size
+ * the new trace needs, the new TraceBuffer is built in that arena, whose
+ * pages are already faulted in, instead of freeing it and allocating a
+ * fresh one. Evicted buffers are released only after the cache mutex is
+ * dropped, so a large unmap never stalls other acquires.
  */
 
 #ifndef CFL_TRACE_TRACE_CACHE_HH
@@ -25,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "trace/trace_buffer.hh"
 #include "workloads/suite.hh"
@@ -71,13 +78,17 @@ class TraceCache
     std::uint64_t misses() const;
     /** acquire() calls the budget turned away. */
     std::uint64_t bypasses() const;
+    /** Misses whose buffer was built in an evicted buffer's arena. */
+    std::uint64_t reusedArenas() const;
 
   private:
     struct Entry;
+    using Evicted = std::vector<std::shared_ptr<TraceBuffer>>;
 
-    /** Drop idle LRU entries (other than @p exclude) until @p needed
-     *  fits; true on success. */
-    bool makeRoom(std::uint64_t needed, const Entry *exclude = nullptr);
+    /** Drop idle LRU entries (other than @p exclude) into @p evicted
+     *  until @p needed fits; true on success. */
+    bool makeRoom(std::uint64_t needed, Evicted &evicted,
+                  const Entry *exclude = nullptr);
 
     mutable std::mutex mutex_;
     std::map<std::pair<int, std::uint64_t>, std::shared_ptr<Entry>>
@@ -89,6 +100,7 @@ class TraceCache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t bypasses_ = 0;
+    std::uint64_t reusedArenas_ = 0;
 };
 
 /**

@@ -50,11 +50,14 @@ ProgramBuilder::emitStraight(unsigned count)
         program_.image.append(encodeAlu());
 }
 
-void
+std::uint32_t
 ProgramBuilder::recordBranch(Addr pc, BranchInfo info)
 {
     info.id = static_cast<std::uint32_t>(program_.branches.size());
-    program_.branches.emplace(pc, info);
+    cfl_assert(info.id < Program::kBranchSlot, "too many static branches");
+    program_.branches.push_back(info);
+    branchPcs_.push_back(pc);
+    return info.id;
 }
 
 void
@@ -62,11 +65,10 @@ ProgramBuilder::emitCondTo(Label label, double bias)
 {
     // Emit with a zero displacement; the fixup pass patches it.
     const Addr pc = program_.image.append(encodeDirect(BranchKind::Cond, 0));
-    fixups_.push_back({pc, label, BranchKind::Cond});
     BranchInfo info;
     info.kind = BranchKind::Cond;
     info.bias = bias;
-    recordBranch(pc, info);
+    fixups_.push_back({recordBranch(pc, info), label});
 }
 
 void
@@ -92,10 +94,9 @@ ProgramBuilder::emitJumpTo(Label label)
 {
     const Addr pc =
         program_.image.append(encodeDirect(BranchKind::Uncond, 0));
-    fixups_.push_back({pc, label, BranchKind::Uncond});
     BranchInfo info;
     info.kind = BranchKind::Uncond;
-    recordBranch(pc, info);
+    fixups_.push_back({recordBranch(pc, info), label});
 }
 
 void
@@ -179,6 +180,48 @@ ProgramBuilder::noteFunction(Addr entry, Addr limit, unsigned layer)
     program_.functions.push_back({entry, limit, layer});
 }
 
+void
+ProgramBuilder::buildSlotTable()
+{
+    const CodeImage &image = program_.image;
+    std::vector<std::uint32_t> &slots = program_.slots;
+    slots.assign(image.numInsts(), 0);
+    for (std::uint32_t id = 0; id < branchPcs_.size(); ++id) {
+        const Addr pc = branchPcs_[id];
+        cfl_assert(image.contains(pc), "branch %llx outside image",
+                   static_cast<unsigned long long>(pc));
+        std::uint32_t &slot = slots[(pc - image.base()) / kInstBytes];
+        cfl_assert(slot == 0, "two branches recorded at %llx",
+                   static_cast<unsigned long long>(pc));
+        slot = Program::kBranchSlot | id;
+    }
+
+    // Back to front, so each non-branch slot extends the run after it.
+    // Every slot is checked against its decoded word: a slot has
+    // metadata exactly when its word decodes to a branch, of that kind.
+    std::uint32_t run = 0;
+    for (std::size_t i = slots.size(); i-- > 0;) {
+        const Addr pc = image.base() + i * kInstBytes;
+        const BranchKind kind = decodeKind(image.at(pc));
+        if ((slots[i] & Program::kBranchSlot) != 0) {
+            const BranchInfo &info =
+                program_.branches[slots[i] & ~Program::kBranchSlot];
+            cfl_assert(kind == info.kind,
+                       "%s word at %llx carries %s metadata",
+                       branchKindName(kind).c_str(),
+                       static_cast<unsigned long long>(pc),
+                       branchKindName(info.kind).c_str());
+            run = 0;
+        } else {
+            cfl_assert(kind == BranchKind::None,
+                       "%s at %llx has no branch metadata",
+                       branchKindName(kind).c_str(),
+                       static_cast<unsigned long long>(pc));
+            slots[i] = ++run;
+        }
+    }
+}
+
 Program
 ProgramBuilder::finish(Addr entry, Addr dispatch_call_pc,
                        std::vector<Addr> handlers,
@@ -189,16 +232,16 @@ ProgramBuilder::finish(Addr entry, Addr dispatch_call_pc,
 
     for (const Fixup &fx : fixups_) {
         cfl_assert(labelBound_[fx.label], "unbound label in fixup");
-        const Addr target = labelAddrs_[fx.label];
+        BranchInfo &info = program_.branches[fx.id];
+        const Addr pc = branchPcs_[fx.id];
+        info.target = labelAddrs_[fx.label];
         const std::int64_t disp =
-            (static_cast<std::int64_t>(target) -
-             static_cast<std::int64_t>(fx.branchPc)) /
+            (static_cast<std::int64_t>(info.target) -
+             static_cast<std::int64_t>(pc)) /
             static_cast<std::int64_t>(kInstBytes);
-        program_.image.patch(fx.branchPc, encodeDirect(fx.kind, disp));
-        auto it = program_.branches.find(fx.branchPc);
-        cfl_assert(it != program_.branches.end(), "fixup on unknown branch");
-        it->second.target = target;
+        program_.image.patch(pc, encodeDirect(info.kind, disp));
     }
+    buildSlotTable();
 
     program_.entry = entry;
     program_.dispatchCallPc = dispatch_call_pc;
@@ -206,11 +249,12 @@ ProgramBuilder::finish(Addr entry, Addr dispatch_call_pc,
     program_.numRequestTypes = num_request_types;
 
     // Validate: every direct target must land inside the image.
-    for (const auto &[pc, info] : program_.branches) {
+    for (const BranchInfo &info : program_.branches) {
         if (hasDirectTarget(info.kind)) {
             cfl_assert(program_.image.contains(info.target),
                        "branch %llx targets outside image",
-                       static_cast<unsigned long long>(pc));
+                       static_cast<unsigned long long>(
+                           branchPcs_[info.id]));
         }
     }
     for (const auto &set : program_.indirectSets) {

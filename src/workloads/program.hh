@@ -7,6 +7,14 @@
  * (bias, loop trip counts, indirect target sets) and the request dispatch
  * structure (entry loop + request handler entry points).
  *
+ * Branch metadata lives in a dense array indexed by BranchInfo::id, and
+ * a slot table with one word per image instruction maps a PC to it: a
+ * branch slot holds a tag bit plus the id, any other slot the length of
+ * the straight-line run of non-branches starting there. branchAt() is
+ * one bounds check and two array loads, and trace generation fills a
+ * whole run at once from straightRunAt(). ProgramBuilder::finish()
+ * builds the table and checks it against the decoded image words.
+ *
  * The front-end simulator never reads this metadata directly — it sees
  * only the dynamic instruction stream and the raw code image, exactly like
  * hardware.
@@ -17,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/code_image.hh"
@@ -53,8 +60,18 @@ struct Program
     std::string name;
     CodeImage image;
 
-    /** Branch-site oracle metadata keyed by branch PC. */
-    std::unordered_map<Addr, BranchInfo> branches;
+    /** Branch-site oracle metadata, indexed by BranchInfo::id. */
+    std::vector<BranchInfo> branches;
+
+    /** Slot-table tag of a branch slot; the low bits hold its id. */
+    static constexpr std::uint32_t kBranchSlot = 1u << 31;
+
+    /**
+     * One word per image instruction, indexed by (pc - base) / 4: a
+     * branch slot holds kBranchSlot | id, any other slot the number of
+     * consecutive non-branch instructions starting there (at least 1).
+     */
+    std::vector<std::uint32_t> slots;
 
     /** Target sets for indirect branches. */
     std::vector<std::vector<Addr>> indirectSets;
@@ -76,10 +93,22 @@ struct Program
 
     Program() : image(0x10000) {}
 
+    /** Metadata of the branch at @p pc, or nullptr if none is there. */
     const BranchInfo *branchAt(Addr pc) const
     {
-        const auto it = branches.find(pc);
-        return it == branches.end() ? nullptr : &it->second;
+        const std::uint32_t slot = slotAt(pc);
+        return (slot & kBranchSlot) != 0 ? &branches[slot & ~kBranchSlot]
+                                         : nullptr;
+    }
+
+    /**
+     * Number of consecutive non-branch instructions starting at @p pc;
+     * 0 at a branch or outside the image.
+     */
+    std::uint32_t straightRunAt(Addr pc) const
+    {
+        const std::uint32_t slot = slotAt(pc);
+        return (slot & kBranchSlot) != 0 ? 0 : slot;
     }
 
     /** Static branch-per-block density over the whole image. */
@@ -87,6 +116,18 @@ struct Program
 
     /** Number of static branch sites. */
     std::size_t numStaticBranches() const { return branches.size(); }
+
+  private:
+    /** Slot word of @p pc; 0 (an empty run) for an unaligned PC or one
+     *  outside the image. */
+    std::uint32_t slotAt(Addr pc) const
+    {
+        const Addr off = pc - image.base();
+        const Addr idx = off / kInstBytes;
+        if (off % kInstBytes != 0 || idx >= slots.size())
+            return 0;
+        return slots[idx];
+    }
 };
 
 /**
@@ -159,17 +200,21 @@ class ProgramBuilder
   private:
     struct Fixup
     {
-        Addr branchPc;
+        std::uint32_t id;   ///< the branch's BranchInfo::id
         Label label;
-        BranchKind kind;
     };
 
-    void recordBranch(Addr pc, BranchInfo info);
+    /** Append @p info as the next branch id; returns that id. */
+    std::uint32_t recordBranch(Addr pc, BranchInfo info);
+
+    /** Build Program::slots and check it against the image words. */
+    void buildSlotTable();
 
     Program program_;
     std::vector<Addr> labelAddrs_;
     std::vector<bool> labelBound_;
     std::vector<Fixup> fixups_;
+    std::vector<Addr> branchPcs_;   ///< indexed by branch id
     bool finished_ = false;
 };
 

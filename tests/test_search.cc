@@ -102,7 +102,11 @@ RunStats
 runOnce(const search::SearchOptions &opts, const std::string &cachePath,
         const std::string &journalPath, bool resume = false)
 {
-    static SweepEngine engine;
+    // One engine per run, joined before runOnce returns: a process-wide
+    // engine would keep worker threads alive across the fork of an
+    // EXPECT_EXIT, and the child's exit() would then try to join
+    // threads it does not have.
+    SweepEngine engine;
     const SystemConfig config = makeSystemConfig(1);
     dispatch::ResultCache cache(cachePath, opts.codeVersion);
     search::CachedEvaluator eval(config, engine, &cache,

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,6 +63,67 @@ TEST(TraceBuffer, ReplayMatchesLiveGenerationIncludingTail)
         ASSERT_EQ(live.instCount(), replay.instCount()) << "inst " << i;
     }
     EXPECT_FALSE(replay.replaying()) << "tail continuation left replay mode";
+}
+
+TEST(TraceBuffer, BulkFillMatchesPerInstructionGeneration)
+{
+    // The buffer fills straight-line runs a column at a time and steps
+    // the engine only at branches; per-instruction ExecEngine::next() is
+    // the reference for every stored instruction, the branch index and
+    // the tail state, on every preset.
+    constexpr std::uint64_t kLen = 20'000;
+    constexpr std::uint64_t kTail = 2'000;
+    for (const WorkloadId wl : allWorkloads()) {
+        for (const std::uint64_t seed : {0x1234ull, 0xbeefull}) {
+            SCOPED_TRACE(workloadSlug(wl) + " seed " +
+                         std::to_string(seed));
+            const Program &program = workloadProgram(wl);
+            const EngineParams params = paramsFor(wl, seed);
+            ExecEngine live(program, params);
+            std::vector<DynInst> ref;
+            for (std::uint64_t i = 0; i < kLen + kTail; ++i)
+                ref.push_back(live.next());
+            const auto is_branch = [&ref](std::uint64_t i) {
+                return ref[i].kind != BranchKind::None;
+            };
+
+            // Lengths that end inside a straight run (the run goes on
+            // past the last stored instruction) and exactly on a branch.
+            std::uint64_t in_run = kLen / 2;
+            while (is_branch(in_run - 1) || is_branch(in_run))
+                ++in_run;
+            std::uint64_t on_branch = kLen / 3;
+            while (!is_branch(on_branch - 1))
+                ++on_branch;
+
+            for (const std::uint64_t n : {std::uint64_t{1}, in_run,
+                                          on_branch, kLen}) {
+                SCOPED_TRACE("length " + std::to_string(n));
+                auto buf =
+                    std::make_shared<const TraceBuffer>(program, params, n);
+                ASSERT_EQ(buf->size(), n);
+                DynInst got;
+                std::vector<std::uint32_t> branches;
+                for (std::uint64_t i = 0; i < n; ++i) {
+                    buf->read(i, got);
+                    expectSameInst(ref[i], got, i);
+                    if (is_branch(i))
+                        branches.push_back(static_cast<std::uint32_t>(i));
+                }
+                ASSERT_EQ(buf->numBranches(), branches.size());
+                EXPECT_TRUE(std::equal(branches.begin(), branches.end(),
+                                       buf->branchPositions()));
+                EXPECT_EQ(buf->tailSnapshot().instCount, n);
+
+                // Tail continuation: replay crosses into live generation.
+                ExecEngine replay(program, params);
+                replay.attachTrace(buf);
+                for (std::uint64_t i = 0; i < n + kTail; ++i)
+                    expectSameInst(ref[i], replay.next(), i);
+                EXPECT_FALSE(replay.replaying());
+            }
+        }
+    }
 }
 
 TEST(TraceBuffer, PeekSemanticsMatchUnderReplay)
@@ -206,6 +269,57 @@ TEST(TraceCache, BudgetEvictsIdleLru)
     // distinct trace is turned away rather than overcommitting.
     EXPECT_EQ(cache.acquire(WorkloadId::DssQry, 3, 10'000), nullptr);
     EXPECT_GE(cache.bypasses(), 1u);
+}
+
+TEST(TraceCache, EvictionHandsTheArenaToTheNextTrace)
+{
+    // Budget fits one single-granule trace: acquiring b evicts a.
+    const WorkloadId wl = WorkloadId::OltpDb2;
+    TraceCache cache(TraceBuffer::arenaBytesFor(1 << 16) + 1024);
+    auto a = cache.acquire(wl, 1, 10'000);
+    ASSERT_NE(a, nullptr);
+    EXPECT_LE(cache.cachedBytes(), cache.budgetBytes());
+    a.reset();  // idle, so evictable
+
+    auto b = cache.acquire(wl, 2, 10'000);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(cache.reusedArenas(), 1u) << "b must be built in a's arena";
+    EXPECT_LE(cache.cachedBytes(), cache.budgetBytes());
+
+    // Every byte of a's old arena was rewritten: b equals a fresh b,
+    // column for column, branch for branch, and past its tail.
+    const Program &program = workloadProgram(wl);
+    auto fresh = std::make_shared<const TraceBuffer>(
+        program, paramsFor(wl, 2), b->size());
+    ASSERT_EQ(b->arenaBytes(), fresh->arenaBytes());
+    DynInst x, y;
+    for (std::uint64_t i = 0; i < b->size(); ++i) {
+        b->read(i, x);
+        fresh->read(i, y);
+        expectSameInst(y, x, i);
+    }
+    ASSERT_EQ(b->numBranches(), fresh->numBranches());
+    EXPECT_TRUE(std::equal(b->branchPositions(),
+                           b->branchPositions() + b->numBranches(),
+                           fresh->branchPositions()));
+    ExecEngine from_b(program, paramsFor(wl, 2));
+    ExecEngine from_fresh(program, paramsFor(wl, 2));
+    from_b.attachTrace(b);
+    from_fresh.attachTrace(fresh);
+    for (std::uint64_t i = 0; i < b->size() + 1000; ++i)
+        expectSameInst(from_fresh.next(), from_b.next(), i);
+
+    // A buffer still referenced is never recycled.
+    EXPECT_EQ(cache.acquire(wl, 3, 10'000), nullptr);
+    EXPECT_EQ(cache.reusedArenas(), 1u);
+
+    // Nor is an idle one of another size: it is freed instead.
+    cache.setBudgetBytes(TraceBuffer::arenaBytesFor(2 << 16) + 1024);
+    b.reset();
+    auto c = cache.acquire(wl, 3, 100'000);
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(cache.reusedArenas(), 1u);
+    EXPECT_LE(cache.cachedBytes(), cache.budgetBytes());
 }
 
 TEST(TraceCache, FailedUpgradeKeepsShorterBuffer)

@@ -71,6 +71,49 @@ TEST(ProgramBuilder, IndirectSets)
     EXPECT_EQ(p.indirectSets[0].size(), 2u);
 }
 
+TEST(Program, SlotTableAgreesWithDecodedImage)
+{
+    for (const WorkloadId id : allWorkloads()) {
+        SCOPED_TRACE(workloadName(id));
+        const Program &p = workloadProgram(id);
+        const CodeImage &image = p.image;
+        ASSERT_EQ(p.slots.size(), image.numInsts());
+
+        // Back to front, so the expected run length is a running count.
+        std::uint32_t run = 0;
+        std::size_t branches = 0;
+        for (std::size_t i = image.numInsts(); i-- > 0;) {
+            const Addr pc = image.base() + i * kInstBytes;
+            const InstWord word = image.at(pc);
+            const BranchKind kind = decodeKind(word);
+            const BranchInfo *info = p.branchAt(pc);
+            if (kind == BranchKind::None) {
+                ASSERT_EQ(info, nullptr) << std::hex << pc;
+                ASSERT_EQ(p.straightRunAt(pc), ++run) << std::hex << pc;
+                continue;
+            }
+            ASSERT_NE(info, nullptr) << std::hex << pc;
+            ASSERT_EQ(info->kind, kind) << std::hex << pc;
+            ASSERT_EQ(&p.branches[info->id], info) << std::hex << pc;
+            if (hasDirectTarget(kind)) {
+                ASSERT_EQ(info->target, directTarget(pc, word));
+            }
+            ASSERT_EQ(p.straightRunAt(pc), 0u) << std::hex << pc;
+            run = 0;
+            ++branches;
+        }
+        EXPECT_EQ(branches, p.numStaticBranches());
+
+        // Outside the image, and between instructions, there is nothing.
+        ASSERT_NE(p.branchAt(p.dispatchCallPc), nullptr);
+        EXPECT_EQ(p.branchAt(p.dispatchCallPc + 1), nullptr);
+        EXPECT_EQ(p.straightRunAt(p.dispatchCallPc + 1), 0u);
+        EXPECT_EQ(p.branchAt(image.base() - kInstBytes), nullptr);
+        EXPECT_EQ(p.branchAt(image.limit()), nullptr);
+        EXPECT_EQ(p.straightRunAt(image.limit()), 0u);
+    }
+}
+
 TEST(Generator, DeterministicBySeed)
 {
     WorkloadParams params;
