@@ -21,7 +21,7 @@
  * single digits.
  *
  * Usage:
- *   perf_harness [--smoke] [--batched] [--sampled] [--iters N]
+ *   perf_harness [--smoke] [--sampled] [--iters N]
  *                [--out PATH]
  *                [--compare BASELINE [--min-ratio R] [--strict]]
  *                [--min-sampled-speedup S]
@@ -29,9 +29,6 @@
  *                [--queue WORKER_BIN [--queue-workers N]]
  *
  *   --smoke     small point grid and budgets (CI-sized)
- *   --batched   extra timed phase: the same sweep through the batched
- *               trace-major runner (sim/batched), verified bit-identical
- *               against the scalar in-process sweep before it is timed
  *   --sampled   extra timed phase: the same grid with SMARTS sampling
  *               (defaultSamplingSpec), verified run-to-run bit-identical
  *               and statistically against the exact reference — every
@@ -84,19 +81,10 @@
 #include "dispatch/dispatcher.hh"
 #include "queue/backend.hh"
 #include "queue/queue.hh"
-#include "sim/batched.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
 #include "sweepio/codec.hh"
-
-// The harness is also built against the pre-trace-cache tree to record
-// before/after numbers; the cache hooks degrade to no-ops there.
-#if __has_include("trace/trace_cache.hh")
 #include "trace/trace_cache.hh"
-#define CFL_HAS_TRACE_CACHE 1
-#else
-#define CFL_HAS_TRACE_CACHE 0
-#endif
 
 // ---------------------------------------------------------------------------
 // Global allocation counter (this binary only).
@@ -165,7 +153,6 @@ struct PhaseResult
 struct HarnessConfig
 {
     bool smoke = false;
-    bool batched = false;
     bool sampled = false;
     bool strict = false;
     double minSampledSpeedup = 0.0; ///< 0 = no floor
@@ -226,13 +213,9 @@ runOnce(const std::vector<SweepPoint> &points, const SystemConfig &config,
 void
 setTraceCacheEnabled(bool enabled)
 {
-#if CFL_HAS_TRACE_CACHE
     // 0 disables; otherwise restore a budget comfortably above the
     // harness working set so the cached phase never evicts.
     traceCache().setBudgetBytes(enabled ? (1ull << 30) : 0);
-#else
-    (void)enabled;
-#endif
 }
 
 /** First "model name" from /proc/cpuinfo, JSON-safe; "unknown" when
@@ -359,42 +342,13 @@ harnessMain(const HarnessConfig &cfg)
                  cached.seconds, cached.pointsPerSec, cached.minstsPerSec,
                  warm_seconds, allocs_per_kinst);
 
-    // One in-process scalar reference serves the batched, sampled, and
+    // One in-process scalar reference serves the sampled and
     // multi-process phases: the harness has already asserted results
     // are run-to-run identical.
     SweepResult reference;
-    if (cfg.batched || cfg.sampled || !cfg.dispatchSweepBin.empty() ||
+    if (cfg.sampled || !cfg.dispatchSweepBin.empty() ||
         !cfg.queueWorkerBin.empty())
         reference = runTimingSweep(points, config, engine);
-
-    // Batched phase (opt-in): the same sweep through the trace-major
-    // batched runner, cache warm. Bit-identity with the scalar path is
-    // asserted on every timed iteration before the number is kept.
-    PhaseResult batched;
-    bool have_batched = false;
-    if (cfg.batched) {
-        batched.seconds = 1e300;
-        for (unsigned i = 0; i < cfg.iters; ++i) {
-            const auto start = Clock::now();
-            const SweepResult merged =
-                runBatchedSweep(points, config, engine);
-            const std::chrono::duration<double> elapsed =
-                Clock::now() - start;
-            cfl_assert(sweepio::encodeResult(merged) ==
-                           sweepio::encodeResult(reference),
-                       "batched sweep diverged from scalar sweep");
-            if (elapsed.count() < batched.seconds)
-                batched.seconds = elapsed.count();
-        }
-        batched.geomean = live.geomean;
-        batched.pointsPerSec = points.size() / batched.seconds;
-        batched.minstsPerSec = total_minsts / batched.seconds;
-        have_batched = true;
-        std::fprintf(stderr, "  batched: %7.2fs  %6.2f points/s  %7.2f "
-                     "Minsts/s  (bit-identical to scalar)\n",
-                     batched.seconds, batched.pointsPerSec,
-                     batched.minstsPerSec);
-    }
 
     // Sampled phase (opt-in): the same grid with SMARTS sampling.
     // Sampled results are not bit-comparable to exact ones — the gates
@@ -660,17 +614,13 @@ harnessMain(const HarnessConfig &cfg)
                      queued.minstsPerSec, cfg.queueWorkers);
     }
 
-    std::uint64_t cache_lookups = 0, cache_hits = 0, cache_misses = 0,
-                  cache_bypasses = 0;
-#if CFL_HAS_TRACE_CACHE
-    cache_lookups = traceCache().lookups();
-    cache_hits = traceCache().hits();
-    cache_misses = traceCache().misses();
-    cache_bypasses = traceCache().bypasses();
+    const std::uint64_t cache_lookups = traceCache().lookups();
+    const std::uint64_t cache_hits = traceCache().hits();
+    const std::uint64_t cache_misses = traceCache().misses();
+    const std::uint64_t cache_bypasses = traceCache().bypasses();
     cfl_assert(cache_hits + cache_misses + cache_bypasses ==
                    cache_lookups,
                "trace-cache counters do not partition lookups");
-#endif
 
     std::ostringstream json;
     json.precision(17);
@@ -693,12 +643,6 @@ harnessMain(const HarnessConfig &cfg)
          << ", \"minsts_per_sec\": " << cached.minstsPerSec << "},\n"
          << "  \"cache_speedup\": "
          << cached.pointsPerSec / live.pointsPerSec << ",\n";
-    if (have_batched)
-        json << "  \"batched\": {\"seconds\": " << batched.seconds
-             << ", \"points_per_sec\": " << batched.pointsPerSec
-             << ", \"minsts_per_sec\": " << batched.minstsPerSec
-             << ", \"speedup_vs_cached\": "
-             << batched.pointsPerSec / cached.pointsPerSec << "},\n";
     if (have_sampled)
         json << "  \"sampled\": {\"seconds\": " << sampled.seconds
              << ", \"points_per_sec\": " << sampled.pointsPerSec
@@ -791,8 +735,6 @@ harnessMain(const HarnessConfig &cfg)
 
         if (!gate("cached", true, cached.pointsPerSec))
             return 1;
-        if (!gate("batched", have_batched, batched.pointsPerSec))
-            return 1;
         if (!gate("sampled", have_sampled, sampled.pointsPerSec))
             return 1;
         if (ungated && cfg.strict) {
@@ -820,8 +762,6 @@ main(int argc, char **argv)
         };
         if (arg == "--smoke")
             cfg.smoke = true;
-        else if (arg == "--batched")
-            cfg.batched = true;
         else if (arg == "--sampled")
             cfg.sampled = true;
         else if (arg == "--strict")

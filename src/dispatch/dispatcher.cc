@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -89,13 +88,8 @@ workerLoop(Scheduler &sched, WorkerBackend &backend,
             }
         }
 
-        const bool first = picked->run.attempts == 0;
-        const std::string &command =
-            (first && !picked->job->firstAttemptCommand.empty())
-                ? picked->job->firstAttemptCommand
-                : picked->job->command;
         const RunStatus status =
-            backend.run(w, command, policy.timeoutSec);
+            backend.run(w, picked->job->command, policy.timeoutSec);
 
         {
             std::lock_guard<std::mutex> lock(sched.mutex);
@@ -132,22 +126,6 @@ workerLoop(Scheduler &sched, WorkerBackend &backend,
         }
         sched.wake.notify_all();
     }
-}
-
-unsigned
-parseFaultShard(const std::string &fault)
-{
-    const std::string prefix = "shard:";
-    if (fault.compare(0, prefix.size(), prefix) != 0)
-        cfl_fatal("fault spec must be \"shard:K\", got \"%s\"",
-                  fault.c_str());
-    char *end = nullptr;
-    const long shard =
-        std::strtol(fault.c_str() + prefix.size(), &end, 10);
-    if (end == fault.c_str() + prefix.size() || *end != '\0' || shard < 0)
-        cfl_fatal("fault spec must be \"shard:K\", got \"%s\"",
-                  fault.c_str());
-    return static_cast<unsigned>(shard);
 }
 
 } // namespace
@@ -243,12 +221,6 @@ runDispatchedSweep(const std::vector<SweepPoint> &points,
             cfl_fatal("cannot create work directory \"%s\": %s",
                       opts.workDir.c_str(), ec.message().c_str());
 
-        const unsigned fault_shard =
-            opts.fault.empty() ? nshards : parseFaultShard(opts.fault);
-        if (!opts.fault.empty() && fault_shard >= nshards)
-            cfl_warn("fault shard %u >= shard count %u; nothing injected",
-                     fault_shard, nshards);
-
         std::vector<ShardJob> jobs;
         std::vector<std::string> result_paths;
         jobs.reserve(nshards);
@@ -269,17 +241,6 @@ runDispatchedSweep(const std::vector<SweepPoint> &points,
             job.command = shellQuote(opts.sweepBin) + " --points " +
                           shellQuote(spec_path) + " --out " +
                           shellQuote(result_path);
-            // `env` rather than a bare VAR=val prefix: an ssh backend
-            // with a timeout wraps the command in coreutils `timeout`,
-            // which execs its first argument — a bare assignment there
-            // would be taken for the program name. The pinned plan
-            // kills the sweep at its result-publish site (exit 4, the
-            // old CONFLUENCE_SWEEP_FAULT=abort behaviour).
-            if (k == fault_shard)
-                job.firstAttemptCommand =
-                    "env 'CONFLUENCE_FAULT_PLAN=pin=sweep.result."
-                    "publish@0:die:4' " +
-                    job.command;
             jobs.push_back(std::move(job));
             result_paths.push_back(result_path);
         }

@@ -28,13 +28,9 @@
  * exactly). While one shard waits out its backoff, workers pick up
  * other pending shards.
  *
- * Fault injection for tests/CI: DispatchOptions::fault = "shard:K"
- * prefixes shard K's *first* attempt with a CONFLUENCE_FAULT_PLAN
- * pinning a death at sweep.result.publish, which makes
- * confluence_sweep die without writing its result; the retry then
- * proceeds clean. The CONFLUENCE_DISPATCH_FAULT environment variable
- * feeds this through tools/confluence_dispatch (legacy alias — the
- * full plan grammar lives in fault/fault.hh).
+ * Fault injection for tests/CI goes through CONFLUENCE_FAULT_PLAN
+ * (fault/fault.hh): e.g. "pin=dispatch.spawn@1:eio" fails the second
+ * attempt the dispatcher spawns, which then retries clean.
  */
 
 #ifndef CFL_DISPATCH_DISPATCHER_HH
@@ -55,11 +51,8 @@ class ResultCache;
 /** One schedulable unit: a shell command producing one shard result. */
 struct ShardJob
 {
-    unsigned shard = 0;       ///< shard index, for reporting/faults
+    unsigned shard = 0;       ///< shard index: reporting, backoff jitter
     std::string command;      ///< the command every attempt runs
-    /** Override for attempt 0 only ("" = use command). The fault-
-     *  injection hook: a poisoned first attempt, clean retries. */
-    std::string firstAttemptCommand;
 };
 
 /** Retry behaviour of dispatchShards(). */
@@ -120,7 +113,6 @@ struct DispatchOptions
     std::string workDir;      ///< shard spec/result files live here
     unsigned shards = 0;      ///< shard count (0 = one per worker)
     RetryPolicy retry;
-    std::string fault;        ///< "shard:K" first-attempt fault, or ""
     /** Store fresh outcomes back into the cache. Queue-mode dispatch
      *  turns this off: there the worker daemons append each shard's
      *  outcomes themselves (so a SIGKILLed coordinator loses nothing),

@@ -242,20 +242,6 @@ SweepResult::merge(SweepResult &&other)
 }
 
 CmpMetrics
-runSweepPointOn(Cmp &cmp, const SweepPoint &point)
-{
-    if (point.sampling.enabled())
-        return cmp.runSampled(point.scale.timingWarmupInsts,
-                              point.scale.timingMeasureInsts,
-                              point.sampling);
-    cmp.prepareTraces(point.scale.timingWarmupInsts +
-                      point.scale.timingMeasureInsts);
-    cmp.runWarmup(point.scale.timingWarmupInsts);
-    cmp.runMeasurement(point.scale.timingMeasureInsts);
-    return cmp.collectMetrics();
-}
-
-CmpMetrics
 evaluateSweepPoint(const SweepPoint &point, const SystemConfig &config,
                    std::uint64_t seed_base)
 {
@@ -263,7 +249,12 @@ evaluateSweepPoint(const SweepPoint &point, const SystemConfig &config,
     cfg.numCores = point.scale.timingCores;
     point.overlay.applyTo(cfg);
     Cmp cmp(point.kind, point.workload, cfg, seed_base);
-    return runSweepPointOn(cmp, point);
+    if (point.sampling.enabled())
+        return cmp.runSampled(point.scale.timingWarmupInsts,
+                              point.scale.timingMeasureInsts,
+                              point.sampling);
+    return cmp.run(point.scale.timingWarmupInsts,
+                   point.scale.timingMeasureInsts);
 }
 
 SweepResult

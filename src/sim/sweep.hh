@@ -139,7 +139,7 @@ sweepMap2(SweepEngine &engine, std::size_t rows, std::size_t cols, Fn &&fn)
  * of sweepPointSeed: two geometry variants of the same (kind,
  * workload) replay the identical instruction stream, which is exactly
  * what a design-space search wants to compare (and what lets the
- * batched runner group them onto one trace).
+ * trace cache serve them all from one shared buffer).
  */
 struct DesignOverlay
 {
@@ -225,14 +225,9 @@ struct SweepResult
 };
 
 /**
- * Evaluate one sweep point on @p cmp, which must have been built with
- * the point's kind/workload and core count. Dispatches between the
- * exact run and the sampled run on point.sampling; shared by the
- * scalar and batched runners so the two cannot drift.
+ * Evaluate one sweep point on its own Cmp: Cmp::runSampled when
+ * point.sampling is enabled, the exact Cmp::run otherwise.
  */
-CmpMetrics runSweepPointOn(Cmp &cmp, const SweepPoint &point);
-
-/** Evaluate one sweep point standalone (builds its own Cmp). */
 CmpMetrics evaluateSweepPoint(const SweepPoint &point,
                               const SystemConfig &config,
                               std::uint64_t seed_base);

@@ -32,10 +32,8 @@
  * "reclaim", "quarantine", "done"), giving every queue directory an
  * auditable, greppable history.
  *
- * Compatibility: the tenant/priority fields on task and done records
- * (and since_ms on leases) are *optional on decode* — a record written
- * by the single-tenant code decodes with tenant "default", priority 0
- * — so pre-existing queue directories load unchanged.
+ * Every field is required on decode: a record missing one (e.g. a
+ * task without tenant/priority) is malformed, like a torn line.
  *
  * Unlike the sweep codec, the strings here (shell commands, file
  * paths, owners) are user-influenced, so encoding escapes '"' and '\\'
@@ -80,8 +78,8 @@ struct LeaseRecord
      *  deadline may be reclaimed by anyone. */
     std::uint64_t deadlineMs = 0;
     /** When this lease (or its latest heartbeat renewal) was written,
-     *  wall-clock unix ms; 0 on records from older writers. Status
-     *  snapshots report now - sinceMs as the heartbeat age. */
+     *  wall-clock unix ms. Status snapshots report now - sinceMs as
+     *  the heartbeat age. */
     std::uint64_t sinceMs = 0;
 };
 

@@ -124,7 +124,7 @@ fakeJobs(unsigned count)
 {
     std::vector<ShardJob> jobs;
     for (unsigned k = 0; k < count; ++k)
-        jobs.push_back({k, "run " + std::to_string(k), ""});
+        jobs.push_back({k, "run " + std::to_string(k)});
     return jobs;
 }
 
@@ -412,26 +412,6 @@ TEST(DispatchShards, CorruptShardExitCodeIsNeverRetried)
     EXPECT_FALSE(runs[0].ok);
     EXPECT_EQ(runs[0].attempts, 1u);
     EXPECT_EQ(runs[0].lastExit, 3);
-}
-
-TEST(DispatchShards, FirstAttemptCommandIsUsedExactlyOnce)
-{
-    FakeBackend backend(2, {0}, 1);
-    RetryPolicy policy;
-    policy.maxAttempts = 3;
-
-    std::vector<ShardJob> jobs = fakeJobs(1);
-    jobs[0].firstAttemptCommand = "poisoned " + jobs[0].command;
-
-    const std::vector<ShardRun> runs =
-        dispatchShards(backend, jobs, policy);
-    ASSERT_EQ(runs.size(), 1u);
-    EXPECT_TRUE(runs[0].ok);
-
-    const auto calls = backend.calls();
-    ASSERT_EQ(calls.size(), 2u);
-    EXPECT_EQ(calls[0].command, "poisoned run 0");
-    EXPECT_EQ(calls[1].command, "run 0");
 }
 
 // ---------------------------------------------------------------------------

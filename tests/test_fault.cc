@@ -323,8 +323,7 @@ TEST(FaultCheckpoint, PinnedDeathExitsWithThePlanExitCode)
             checkpoint("test.die");
         },
         ::testing::ExitedWithCode(23), "");
-    // The legacy CONFLUENCE_SWEEP_FAULT=abort alias is this exact pin
-    // with no arg: the plan's default die-exit 4 — confluence_sweep's
+    // With no arg the plan's default die-exit 4 — confluence_sweep's
     // documented injected-fault exit code — comes out.
     EXPECT_EXIT(
         {

@@ -469,18 +469,19 @@ TEST(WorkQueue, QuotaBoundsLiveTasksAndReleasesOnCompletion)
     EXPECT_EQ(queue.liveCount("capped"), 3u);
 }
 
-TEST(WorkQueue, LegacySingleTenantDirectoriesStillDrain)
+TEST(WorkQueue, LegacySingleTenantTaskFilesAreForeign)
 {
-    // A queue directory written by the single-tenant code: old task
-    // file name (no priority key, no tenant field) and old record
-    // bytes. It must claim as tenant "default" at priority 0, ordered
-    // by seq against newly enqueued tasks.
+    // What the single-tenant code wrote: a "<seq>-<id>.task" file and
+    // a log line without tenant/priority. The file is not a task name,
+    // so it is ignored like any stray file (never claimed, never
+    // counted, left in place); the log line is skipped as malformed.
     const std::string dir = freshDir("legacy");
     {
         WorkQueue layout(dir); // creates the directory skeleton
     }
+    const std::string legacy = dir + "/pending/000000000000-old-task.task";
     {
-        std::ofstream task(dir + "/pending/000000000000-old-task.task");
+        std::ofstream task(legacy);
         task << "{\"id\":\"old-task\",\"seq\":0,\"command\":\"true\","
                 "\"result\":\"\"}\n";
         std::ofstream log(dir + "/tasks.jsonl", std::ios::app);
@@ -489,25 +490,18 @@ TEST(WorkQueue, LegacySingleTenantDirectoriesStillDrain)
     }
 
     WorkQueue queue(dir);
-    EXPECT_EQ(queue.pendingCount(), 1u);
-    // New work sequences after the legacy record...
-    const sweepio::TaskRecord fresh = queue.enqueue(makeTask("new-task"));
-    EXPECT_GE(fresh.seq, 1u);
+    EXPECT_EQ(queue.pendingCount(), 0u);
+    EXPECT_TRUE(queue.readLog().empty());
+    EXPECT_FALSE(queue.claim("w", 60).has_value());
 
-    // ...so the legacy task claims first at the shared priority 0.
+    queue.enqueue(makeTask("new-task"));
     auto first = queue.claim("w", 60);
     ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->task.id, "old-task");
-    EXPECT_EQ(first->task.tenant, "default");
-    EXPECT_EQ(first->task.priority, 0);
+    EXPECT_EQ(first->task.id, "new-task");
     queue.complete(*first, 0);
-    EXPECT_EQ(queue.doneRecord("old-task")->tenant, "default");
-
-    auto second = queue.claim("w", 60);
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->task.id, "new-task");
-    queue.complete(*second, 0);
-    EXPECT_EQ(queue.pendingCount(), 0u);
+    EXPECT_FALSE(queue.claim("w", 60).has_value());
+    EXPECT_FALSE(queue.doneRecord("old-task").has_value());
+    EXPECT_TRUE(fs::exists(legacy));
 }
 
 TEST(WorkQueue, NoTenantStarvesWhileAnotherFloodsTheQueue)
@@ -803,15 +797,14 @@ TEST(QueueBackend, DispatchesRetriesAndReportsExitCodesThroughTheQueue)
 
     const std::string marker = dir + "/ran-once";
     std::vector<dispatch::ShardJob> jobs;
-    jobs.push_back({0, "true", ""});
-    jobs.push_back({1, "exit 7", ""});
+    jobs.push_back({0, "true"});
+    jobs.push_back({1, "exit 7"});
     // Fails the first attempt, succeeds the second — the dispatcher's
     // retry flows through a *fresh* queue task.
     jobs.push_back({2,
                     "test -e " + dispatch::shellQuote(marker) +
                         " || { touch " + dispatch::shellQuote(marker) +
-                        "; exit 9; }",
-                    ""});
+                        "; exit 9; }"});
 
     dispatch::RetryPolicy policy;
     policy.maxAttempts = 2;

@@ -11,6 +11,7 @@
 
 #include "sim/metrics.hh"
 #include "sim/sweep.hh"
+#include "trace/trace_cache.hh"
 
 using namespace cfl;
 
@@ -37,6 +38,7 @@ expectIdentical(const SweepResult &a, const SweepResult &b)
         const SweepOutcome &y = b.points[i];
         EXPECT_EQ(x.point.kind, y.point.kind);
         EXPECT_EQ(x.point.workload, y.point.workload);
+        EXPECT_TRUE(x.point.overlay == y.point.overlay);
         EXPECT_EQ(x.seed, y.seed);
         ASSERT_EQ(x.metrics.cores.size(), y.metrics.cores.size());
         for (std::size_t c = 0; c < x.metrics.cores.size(); ++c) {
@@ -225,6 +227,45 @@ TEST(Sweep, SerialAndParallelRunsAreBitIdentical)
     const SweepResult c =
         runTimingSweep(kinds, workloads, cfg, scale, parallel);
     expectIdentical(a, c);
+
+    // Points the cross product cannot express: a 2-core point, two
+    // identical points, and two geometry overlays of one (kind,
+    // workload), which replay the same stream. Live generation (trace
+    // cache off) is the reference for shared replay, serial and
+    // parallel.
+    RunScale dual = scale;
+    dual.timingCores = 2;
+    SweepPoint small{FrontendKind::Baseline, WorkloadId::DssQry, scale};
+    small.overlay.btbEntries = 512;
+    SweepPoint large = small;
+    large.overlay.btbEntries = 4096;
+    const std::vector<SweepPoint> points = {
+        {FrontendKind::Confluence, WorkloadId::DssQry, dual},
+        {FrontendKind::Fdp, WorkloadId::WebFrontend, scale},
+        {FrontendKind::Fdp, WorkloadId::WebFrontend, scale},
+        small,
+        large,
+    };
+    const std::uint64_t saved_budget = traceCache().budgetBytes();
+    traceCache().setBudgetBytes(0);
+    const SweepResult live = runTimingSweep(points, cfg, serial);
+    traceCache().setBudgetBytes(1ull << 30);
+    const SweepResult replay_serial = runTimingSweep(points, cfg, serial);
+    const SweepResult replay_parallel =
+        runTimingSweep(points, cfg, parallel);
+    traceCache().setBudgetBytes(saved_budget);
+    expectIdentical(live, replay_serial);
+    expectIdentical(live, replay_parallel);
+
+    ASSERT_EQ(live.points[0].metrics.cores.size(), 2u);
+    SweepResult first, second;
+    first.points = {live.points[1]};
+    second.points = {live.points[2]};
+    expectIdentical(first, second);
+    // The overlays share a seed but simulate different BTBs.
+    EXPECT_EQ(live.points[3].seed, live.points[4].seed);
+    EXPECT_NE(live.points[3].metrics.cores[0].btbTakenMisses,
+              live.points[4].metrics.cores[0].btbTakenMisses);
 }
 
 TEST(Sweep, AggregationMatchesMetricsHelpers)

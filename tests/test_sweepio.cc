@@ -333,35 +333,53 @@ TEST(SweepioQueueCodec, MultiTenantFieldsRoundTrip)
     EXPECT_EQ(stats_back.atMs, 1700000000000ull);
 }
 
-TEST(SweepioQueueCodec, LegacySingleTenantLinesDecodeWithDefaults)
+TEST(SweepioQueueCodec, LegacySingleTenantLinesAreMalformed)
 {
     // Byte-for-byte what the single-tenant code wrote: no tenant, no
-    // priority, no since_ms. Old queue directories must keep loading.
-    const TaskRecord task = decodeTask(
+    // priority, no since_ms. Every field is required, so these fail to
+    // decode like any torn or malformed line.
+    TaskRecord task;
+    EXPECT_FALSE(tryDecodeTask(
         "{\"id\":\"cafe-r0-a0\",\"seq\":7,\"command\":\"true\","
-        "\"result\":\"\"}");
-    EXPECT_EQ(task.id, "cafe-r0-a0");
-    EXPECT_EQ(task.seq, 7u);
-    EXPECT_EQ(task.tenant, "default");
-    EXPECT_EQ(task.priority, 0);
+        "\"result\":\"\"}",
+        &task));
+    // A tenant without a priority is just as incomplete.
+    EXPECT_FALSE(tryDecodeTask(
+        "{\"id\":\"cafe-r0-a0\",\"seq\":7,\"command\":\"true\","
+        "\"result\":\"\",\"tenant\":\"default\"}",
+        &task));
 
-    const DoneRecord done = decodeDone(
-        "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\",\"exit\":137}");
-    EXPECT_EQ(done.exitCode, 137u);
-    EXPECT_EQ(done.tenant, "default");
+    DoneRecord done;
+    EXPECT_FALSE(tryDecodeDone(
+        "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\",\"exit\":137}",
+        &done));
 
-    const LeaseRecord lease = decodeLease(
+    LeaseRecord lease;
+    EXPECT_FALSE(tryDecodeLease(
         "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\","
-        "\"deadline_ms\":99}");
-    EXPECT_EQ(lease.deadlineMs, 99u);
-    EXPECT_EQ(lease.sinceMs, 0u);
+        "\"deadline_ms\":99}",
+        &lease));
 
     // An old-style log line multiplexing an old-style task record.
-    const QueueLogRecord log = decodeQueueLog(
+    QueueLogRecord log;
+    EXPECT_FALSE(tryDecodeQueueLog(
         "{\"op\":\"enqueue\",\"task\":{\"id\":\"cafe-r0-a0\","
-        "\"seq\":7,\"command\":\"true\",\"result\":\"\"}}");
-    EXPECT_EQ(log.task.tenant, "default");
-    EXPECT_EQ(log.task.priority, 0);
+        "\"seq\":7,\"command\":\"true\",\"result\":\"\"}}",
+        &log));
+
+    // The same records with every field present decode.
+    EXPECT_TRUE(tryDecodeTask(
+        "{\"id\":\"cafe-r0-a0\",\"seq\":7,\"command\":\"true\","
+        "\"result\":\"\",\"tenant\":\"default\",\"priority\":0}",
+        &task));
+    EXPECT_TRUE(tryDecodeDone(
+        "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\",\"exit\":137,"
+        "\"tenant\":\"default\"}",
+        &done));
+    EXPECT_TRUE(tryDecodeLease(
+        "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\","
+        "\"deadline_ms\":99,\"since_ms\":1}",
+        &lease));
 }
 
 TEST(SweepioQueueCodec, QueueStatusRoundTrips)

@@ -828,8 +828,6 @@ main(int argc, char **argv)
     // The driver itself must run fault-free: children get their plans
     // via explicit env prefixes, never by inheritance.
     ::unsetenv("CONFLUENCE_FAULT_PLAN");
-    ::unsetenv("CONFLUENCE_SWEEP_FAULT");
-    ::unsetenv("CONFLUENCE_DISPATCH_FAULT");
 
     fs::create_directories(opts.workDir);
     opts.specPath = fs::absolute(opts.specPath).string();

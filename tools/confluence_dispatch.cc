@@ -70,14 +70,10 @@
  *   CONFLUENCE_FAULT_PLAN  the unified fault-injection framework
  *       (fault/fault.hh): a seeded, site-indexed schedule of injected
  *       failures, honored by every instrumented site in this process.
- *   CONFLUENCE_DISPATCH_FAULT  legacy aliases, translated onto the
- *       framework at startup:
- *       shard:K       poison shard K's first attempt (the child dies
- *                     before writing its result; the retry is clean);
- *       kill-after:K  (queue backend only) becomes a fault-plan pin
- *                     killing this coordinator the moment the Kth task
- *                     completion is observed — the crash the
- *                     queue-sweep CI job restarts from.
+ *       CI pins "dispatch.spawn@1:eio" to force one shard retry, and
+ *       (queue backend) "queue.backend.completion@0:kill" to kill this
+ *       coordinator the moment the first task completion is observed
+ *       — the crash the queue-sweep job restarts from.
  *   CONFLUENCE_QUEUE_DIR  default --queue-dir for the queue backend.
  *   CONFLUENCE_QUARANTINE_AFTER  queue quarantine strike budget.
  *   CONFLUENCE_CACHE_DIR / CONFLUENCE_CODE_VERSION  default cache
@@ -86,7 +82,7 @@
  *
  * Exit codes: 0 success, 1 fatal error (bad configuration, shard
  * exhausted its retries), 2 usage, 5 regression threshold exceeded;
- * 137 (SIGKILL) when the kill-after fault fires. A shard whose queue
+ * 137 (SIGKILL) when a pinned kill fault fires. A shard whose queue
  * task is quarantined as poison surfaces exit 6 and is not retried.
  */
 
@@ -103,7 +99,6 @@
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "dispatch/backend.hh"
-#include "fault/fault.hh"
 #include "dispatch/dispatcher.hh"
 #include "dispatch/history.hh"
 #include "dispatch/result_cache.hh"
@@ -448,15 +443,6 @@ main(int argc, char **argv)
     if (points_path.empty() || out_path.empty())
         usage(argv[0]);
 
-    std::string fault;
-    if (const char *fault_env = std::getenv("CONFLUENCE_DISPATCH_FAULT"))
-        if (*fault_env != '\0')
-            fault = fault_env;
-    const std::string kill_after_prefix = "kill-after:";
-    const bool kill_after_fault =
-        fault.compare(0, kill_after_prefix.size(), kill_after_prefix) ==
-        0;
-
     std::unique_ptr<queue::WorkQueue> wq;
     std::unique_ptr<dispatch::WorkerBackend> backend;
     if (backend_name == "local") {
@@ -496,30 +482,11 @@ main(int argc, char **argv)
         qopts.slots = workers;
         qopts.tenant = tenant;
         qopts.priority = priority;
-        if (kill_after_fault) {
-            // Legacy alias onto the unified framework: kill-after:K
-            // becomes a pin firing Kill at the (K-1)-th hit (i.e. the
-            // Kth observation) of the completion site. Merging into
-            // any CONFLUENCE_FAULT_PLAN already active keeps the two
-            // hooks composable.
-            const unsigned k = parseUnsignedFlag(
-                "kill-after fault",
-                fault.substr(kill_after_prefix.size()));
-            if (k == 0)
-                cfl_fatal("kill-after:K needs K >= 1");
-            fault::FaultPlan plan =
-                fault::activePlan().value_or(fault::FaultPlan{});
-            plan.pins.push_back({"queue.backend.completion", k - 1,
-                                 fault::Kind::Kill, false, 0});
-            fault::installPlan(plan);
-        }
         backend = std::make_unique<queue::QueueBackend>(*wq, qopts);
     } else {
         cfl_fatal("unknown backend \"%s\" (local|ssh|queue)",
                   backend_name.c_str());
     }
-    if (kill_after_fault && backend_name != "queue")
-        cfl_fatal("the kill-after fault needs --backend queue");
 
     dispatch::DispatchOptions opts;
     opts.sweepBin = sweep_bin;
@@ -538,8 +505,6 @@ main(int argc, char **argv)
     // makes a coordinator kill lossless); everywhere else the
     // coordinator stores fresh outcomes itself.
     opts.cacheWriteBack = backend_name != "queue";
-    if (!fault.empty() && !kill_after_fault)
-        opts.fault = fault;
 
     std::unique_ptr<dispatch::ResultCache> cache;
     if (!no_cache)
