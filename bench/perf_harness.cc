@@ -26,7 +26,6 @@
  *                [--compare BASELINE [--min-ratio R] [--strict]]
  *                [--min-sampled-speedup S]
  *                [--dispatch SWEEP_BIN [--dispatch-workers N]]
- *                [--queue WORKER_BIN [--queue-workers N]]
  *
  *   --smoke     small point grid and budgets (CI-sized)
  *   --sampled   extra timed phase: the same grid with SMARTS sampling
@@ -44,16 +43,12 @@
  *               measured here but absent from the baseline print a
  *               "not gated" warning — with --strict that warning is an
  *               error, so CI cannot silently lose a gate
- *   --dispatch  third timed phase: the same sweep through the shard
- *               dispatcher (src/dispatch) on a local subprocess pool
- *               running SWEEP_BIN, verified bit-identical against the
- *               in-process result — the multi-process overhead figure
- *   --queue     fourth timed phase (needs --dispatch for the sweep
- *               binary): the same sweep through the persistent work
- *               queue (src/queue) — N confluence_worker daemons
- *               (WORKER_BIN) pull the shards the coordinator enqueues
- *               — verified bit-identical; queue-vs-dispatch is the
- *               pull-model overhead figure
+ *   --dispatch  third timed phase: the same sweep through the
+ *               dispatcher (src/dispatch) over a private work queue
+ *               (src/queue) served by N worker threads, each shard a
+ *               SWEEP_BIN subprocess, verified bit-identical against
+ *               the in-process result — the multi-process overhead
+ *               figure
  *
  * Results are checked bit-identical across the two phases before
  * anything is written: a harness that made the simulator faster but
@@ -77,9 +72,7 @@
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "dispatch/backend.hh"
 #include "dispatch/dispatcher.hh"
-#include "queue/backend.hh"
 #include "queue/queue.hh"
 #include "sim/presets.hh"
 #include "sim/sweep.hh"
@@ -162,8 +155,6 @@ struct HarnessConfig
     double minRatio = 0.8;
     std::string dispatchSweepBin; ///< "" = skip the dispatched phase
     unsigned dispatchWorkers = 3;
-    std::string queueWorkerBin;   ///< "" = skip the queue phase
-    unsigned queueWorkers = 2;
 };
 
 std::vector<SweepPoint>
@@ -346,8 +337,7 @@ harnessMain(const HarnessConfig &cfg)
     // multi-process phases: the harness has already asserted results
     // are run-to-run identical.
     SweepResult reference;
-    if (cfg.sampled || !cfg.dispatchSweepBin.empty() ||
-        !cfg.queueWorkerBin.empty())
+    if (cfg.sampled || !cfg.dispatchSweepBin.empty())
         reference = runTimingSweep(points, config, engine);
 
     // Sampled phase (opt-in): the same grid with SMARTS sampling.
@@ -518,20 +508,23 @@ harnessMain(const HarnessConfig &cfg)
         }
     }
 
-    // Phase 3 (opt-in): the same sweep through the shard dispatcher on
-    // a local subprocess pool — the fleet path. Untimed correctness
-    // first: the merged result must be byte-identical to in-process.
+    // Phase 3 (opt-in): the same sweep through the dispatcher's work
+    // queue, served by in-process worker threads running one sweep
+    // subprocess per shard. Correctness first: the merged result must
+    // be byte-identical to in-process.
     PhaseResult dispatched;
     bool have_dispatched = false;
     if (!cfg.dispatchSweepBin.empty()) {
-        dispatch::LocalBackend backend(cfg.dispatchWorkers);
+        const std::string qdir = cfg.outPath + ".dispatch";
+        std::filesystem::remove_all(qdir);
+        queue::WorkQueue wq(qdir);
         dispatch::DispatchOptions opts;
         opts.sweepBin = cfg.dispatchSweepBin;
-        opts.workDir = cfg.outPath + ".dispatch";
+        opts.workerThreads = cfg.dispatchWorkers;
 
         const auto start = Clock::now();
         const SweepResult merged = dispatch::runDispatchedSweep(
-            points, backend, opts, nullptr, nullptr);
+            points, wq, opts, nullptr, nullptr);
         const std::chrono::duration<double> elapsed =
             Clock::now() - start;
 
@@ -543,75 +536,9 @@ harnessMain(const HarnessConfig &cfg)
         dispatched.minstsPerSec = total_minsts / dispatched.seconds;
         have_dispatched = true;
         std::fprintf(stderr, "  dispatch: %6.2fs  %6.2f points/s  "
-                     "%7.2f Minsts/s  (%u subprocess workers)\n",
+                     "%7.2f Minsts/s  (%u worker threads)\n",
                      dispatched.seconds, dispatched.pointsPerSec,
                      dispatched.minstsPerSec, cfg.dispatchWorkers);
-    }
-
-    // Phase 4 (opt-in): the same sweep pulled through the persistent
-    // work queue by confluence_worker daemons. Correctness first, as
-    // above; queue-vs-dispatch is the pull-model overhead.
-    PhaseResult queued;
-    bool have_queued = false;
-    if (!cfg.queueWorkerBin.empty()) {
-        if (cfg.dispatchSweepBin.empty())
-            cfl_fatal("--queue needs --dispatch SWEEP_BIN for the "
-                      "shard commands");
-        const std::string qdir = cfg.outPath + ".queue";
-        std::filesystem::remove_all(qdir);
-        queue::WorkQueue wq(qdir);
-
-        // Real worker daemons, one subprocess each, pulling until the
-        // stop marker drops.
-        std::vector<std::thread> daemons;
-        for (unsigned w = 0; w < cfg.queueWorkers; ++w)
-            daemons.emplace_back([&, w] {
-                const dispatch::RunStatus status =
-                    dispatch::runLocalCommand(
-                        dispatch::shellQuote(cfg.queueWorkerBin) +
-                            " --queue " + dispatch::shellQuote(qdir) +
-                            " --no-cache --poll-ms 20 --owner bench-w" +
-                            std::to_string(w),
-                        0);
-                if (!status.ok())
-                    cfl_warn("queue worker %u exited %d", w,
-                             status.exitCode);
-            });
-
-        queue::QueueBackend::Options qbopts;
-        qbopts.slots = cfg.queueWorkers;
-        qbopts.pollMs = 20;
-        queue::QueueBackend qbackend(wq, qbopts);
-        dispatch::DispatchOptions qopts;
-        qopts.sweepBin = cfg.dispatchSweepBin;
-        qopts.workDir = qdir + "/work";
-        qopts.cacheWriteBack = false;
-        // The harness owns its daemons; if they fail to start (bad
-        // worker path) or die, no done record ever appears. A per-task
-        // timeout turns that hang into a bounded, loud failure.
-        qopts.retry.timeoutSec = 600;
-
-        const auto start = Clock::now();
-        const SweepResult merged = dispatch::runDispatchedSweep(
-            points, qbackend, qopts, nullptr, nullptr);
-        const std::chrono::duration<double> elapsed =
-            Clock::now() - start;
-
-        wq.requestStop();
-        for (std::thread &t : daemons)
-            t.join();
-
-        cfl_assert(sweepio::encodeResult(merged) ==
-                       sweepio::encodeResult(reference),
-                   "queued sweep diverged from in-process sweep");
-        queued.seconds = elapsed.count();
-        queued.pointsPerSec = points.size() / queued.seconds;
-        queued.minstsPerSec = total_minsts / queued.seconds;
-        have_queued = true;
-        std::fprintf(stderr, "  queue   : %6.2fs  %6.2f points/s  "
-                     "%7.2f Minsts/s  (%u pull workers)\n",
-                     queued.seconds, queued.pointsPerSec,
-                     queued.minstsPerSec, cfg.queueWorkers);
     }
 
     const std::uint64_t cache_lookups = traceCache().lookups();
@@ -656,11 +583,6 @@ harnessMain(const HarnessConfig &cfg)
              << ", \"points_per_sec\": " << dispatched.pointsPerSec
              << ", \"minsts_per_sec\": " << dispatched.minstsPerSec
              << ", \"workers\": " << cfg.dispatchWorkers << "},\n";
-    if (have_queued)
-        json << "  \"queued\": {\"seconds\": " << queued.seconds
-             << ", \"points_per_sec\": " << queued.pointsPerSec
-             << ", \"minsts_per_sec\": " << queued.minstsPerSec
-             << ", \"workers\": " << cfg.queueWorkers << "},\n";
     json
          << "  \"warm_seconds\": " << warm_seconds << ",\n"
          << "  \"allocs_per_kinst\": " << allocs_per_kinst << ",\n"
@@ -780,10 +702,6 @@ main(int argc, char **argv)
             cfg.dispatchSweepBin = value();
         else if (arg == "--dispatch-workers")
             cfg.dispatchWorkers = parseUnsignedFlag(arg, value());
-        else if (arg == "--queue")
-            cfg.queueWorkerBin = value();
-        else if (arg == "--queue-workers")
-            cfg.queueWorkers = parseUnsignedFlag(arg, value());
         else
             cfl_fatal("unknown flag \"%s\"", arg.c_str());
     }

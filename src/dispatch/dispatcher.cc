@@ -1,18 +1,23 @@
 #include "dispatch/dispatcher.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <csignal>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
-#include <mutex>
-#include <set>
 #include <thread>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
-#include "common/rng.hh"
+#include "dispatch/process.hh"
 #include "dispatch/result_cache.hh"
+#include "fault/fault.hh"
+#include "queue/worker.hh"
 #include "sweepio/codec.hh"
+#include "sweepio/digest.hh"
 #include "sweepio/shard.hh"
 
 namespace cfl::dispatch
@@ -21,171 +26,235 @@ namespace cfl::dispatch
 namespace
 {
 
-/** Scheduler-side state of one job. */
-struct JobState
-{
-    const ShardJob *job = nullptr;
-    ShardRun run;
-    std::set<unsigned> excluded; ///< workers that failed this shard
-    bool inProgress = false;
-    bool done = false;
-    /** Earliest time the next attempt may start (retry backoff). */
-    std::chrono::steady_clock::time_point readyAt{};
-};
+using Clock = std::chrono::steady_clock;
 
-/** Shared scheduler state; every field is guarded by mutex. */
-struct Scheduler
+/** Lease and idle poll of the threads a local dispatch starts: short,
+ *  so a restart after a crash waits seconds, not a minute, for the
+ *  dead threads' claims to expire. */
+constexpr unsigned kThreadLeaseSec = 10;
+constexpr unsigned kThreadPollMs = 20;
+
+/** One shard's progress through its attempts. */
+struct Shard
 {
-    std::mutex mutex;
-    std::condition_variable wake;
-    std::vector<JobState> jobs;
-    std::size_t doneCount = 0;
+    std::string command;
+    std::string result;
+    unsigned attempts = 0; ///< attempts started so far
+    std::string taskId;    ///< the live attempt's task; "" = none yet
+    bool enqueued = false;
+    Clock::time_point deadline{};
+    bool ok = false;
+    bool failed = false;   ///< out of attempts, or a no-retry exit
+    int lastExit = 0;
+    bool timedOut = false;
 };
 
 /**
- * Whether worker @p w may take job @p j at @p now: pending, past its
- * retry backoff, and either the worker has not failed it or every
- * worker has (retry anywhere rather than deadlock once the pool is
- * exhausted).
+ * Distinguishes this coordinator incarnation's task ids from those of
+ * any earlier one of the same sweep: a restarted coordinator
+ * regenerates the same shard commands, and must not alias a stale done
+ * record.
  */
-bool
-eligible(const JobState &j, unsigned w, unsigned workers,
-         std::chrono::steady_clock::time_point now)
+std::string
+runNonce()
 {
-    if (j.done || j.inProgress || now < j.readyAt)
-        return false;
-    return j.excluded.count(w) == 0 || j.excluded.size() >= workers;
+    static std::atomic<unsigned> calls{0};
+    return sweepio::hexDigest(sweepio::fnv1a64(
+                                  std::to_string(::getpid()) + ":" +
+                                  std::to_string(::time(nullptr)) + ":" +
+                                  std::to_string(calls++)))
+        .substr(0, 8);
 }
 
-void
-workerLoop(Scheduler &sched, WorkerBackend &backend,
-           const RetryPolicy &policy, unsigned w)
+/** The threads a local dispatch serves its queue with; they stop (a
+ *  running command is killed) and join when this goes out of scope. */
+class WorkerThreads
 {
-    using Clock = std::chrono::steady_clock;
-    const unsigned workers = backend.workers();
+  public:
+    WorkerThreads(queue::WorkQueue &queue, const DispatchOptions &opts,
+                  ResultCache *cache)
+    {
+        for (unsigned i = 0; i < opts.workerThreads; ++i) {
+            queue::WorkerOptions wopts;
+            wopts.owner = "local-" + std::to_string(i);
+            wopts.leaseSec = kThreadLeaseSec;
+            wopts.pollMs = kThreadPollMs;
+            wopts.commandTimeoutSec = opts.retry.timeoutSec;
+            wopts.cache = cache;
+            wopts.quit = &quit_;
+            threads_.emplace_back(
+                [&queue, wopts] { queue::runWorker(queue, wopts); });
+        }
+    }
+
+    ~WorkerThreads()
+    {
+        quit_ = true;
+        for (std::thread &t : threads_)
+            t.join();
+    }
+
+    WorkerThreads(const WorkerThreads &) = delete;
+    WorkerThreads &operator=(const WorkerThreads &) = delete;
+
+  private:
+    std::atomic<bool> quit_{false};
+    std::vector<std::thread> threads_;
+};
+
+/** Record how @p s's live attempt ended: done, failed for good, or
+ *  due for a fresh attempt. */
+void
+settle(Shard &s, unsigned index, int exit_code, bool timed_out,
+       const RetryPolicy &policy)
+{
+    s.lastExit = exit_code;
+    s.timedOut = timed_out;
+    s.taskId.clear();
+    s.enqueued = false;
+    if (exit_code == 0 && !timed_out) {
+        s.ok = true;
+        return;
+    }
+    // The shard's input is corrupt (3) or poison (6), not the
+    // infrastructure flaky: no retry.
+    const bool corrupt =
+        !timed_out && (exit_code == 3 || exit_code == kExitQuarantined);
+    if (corrupt || s.attempts >= policy.maxAttempts) {
+        s.failed = true;
+        return;
+    }
+    cfl_warn("shard %u attempt %u failed (exit %d%s); retrying", index,
+             s.attempts, exit_code, timed_out ? ", timed out" : "");
+}
+
+/**
+ * Enqueue every shard and wait until each has succeeded or one failed
+ * for good. Returns the failed shard's index, or shards.size().
+ */
+std::size_t
+driveShards(queue::WorkQueue &queue, std::vector<Shard> &shards,
+            const std::string &id_prefix, const DispatchOptions &opts)
+{
+    const RetryPolicy &policy = opts.retry;
+    // Threads this dispatch started enforce the timeout on the command
+    // itself; only external workers need the coordinator's deadline.
+    const bool deadlines =
+        policy.timeoutSec != 0 && opts.workerThreads == 0;
+    bool warned_quota = false;
+    std::size_t open = shards.size();
     while (true) {
-        JobState *picked = nullptr;
-        {
-            std::unique_lock<std::mutex> lock(sched.mutex);
-            // A timed wait rather than a pure predicate wait: a job
-            // sitting out its backoff delay becomes eligible by clock
-            // alone, with no notify to ride in on.
-            while (true) {
-                if (sched.doneCount == sched.jobs.size())
-                    return;
-                const Clock::time_point now = Clock::now();
-                for (JobState &j : sched.jobs) {
-                    if (eligible(j, w, workers, now)) {
-                        j.inProgress = true;
-                        picked = &j;
-                        break;
-                    }
-                }
-                if (picked != nullptr)
-                    break;
-                sched.wake.wait_for(
-                    lock, std::chrono::milliseconds(10));
+        // Keep the queue healthy while waiting: a worker that died
+        // mid-task must not strand its shard until a daemon notices.
+        queue.reclaimExpired();
+        for (std::size_t k = 0; k < shards.size(); ++k) {
+            Shard &s = shards[k];
+            if (s.ok || s.failed)
+                continue;
+            const unsigned index = static_cast<unsigned>(k);
+            if (s.taskId.empty()) { // start the next attempt
+                ++s.attempts;
+                s.taskId = id_prefix + "s" + std::to_string(k) + "-a" +
+                           std::to_string(s.attempts);
+                s.deadline =
+                    Clock::now() + std::chrono::seconds(policy.timeoutSec);
             }
-        }
-
-        const RunStatus status =
-            backend.run(w, picked->job->command, policy.timeoutSec);
-
-        {
-            std::lock_guard<std::mutex> lock(sched.mutex);
-            ShardRun &run = picked->run;
-            ++run.attempts;
-            run.workers.push_back(w);
-            run.lastExit = status.exitCode;
-            run.timedOut = status.timedOut;
-            picked->inProgress = false;
-            if (status.ok()) {
-                run.ok = true;
-                picked->done = true;
-            } else {
-                picked->excluded.insert(w);
-                const bool corrupt =
-                    !status.timedOut &&
-                    std::find(policy.noRetryExits.begin(),
-                              policy.noRetryExits.end(),
-                              status.exitCode) !=
-                        policy.noRetryExits.end();
-                if (corrupt || run.attempts >= policy.maxAttempts) {
-                    picked->done = true; // run.ok stays false
-                } else {
-                    const std::uint64_t delay = backoffDelayMs(
-                        policy, run.shard, run.attempts);
-                    run.backoffMs += delay;
-                    picked->readyAt =
-                        Clock::now() +
-                        std::chrono::milliseconds(delay);
+            const bool expired = deadlines && Clock::now() >= s.deadline;
+            if (!s.enqueued) {
+                sweepio::TaskRecord task;
+                task.id = s.taskId;
+                task.command = s.command;
+                task.result = s.result;
+                task.tenant = opts.tenant;
+                task.priority = opts.priority;
+                // Quota backpressure: a refused enqueue means the
+                // tenant already has quota-many live tasks, so wait
+                // for workers to drain some instead of overflowing its
+                // share of the queue. The wait counts against the
+                // attempt's timeout.
+                s.enqueued = queue.tryEnqueue(task).has_value();
+                if (!s.enqueued && !warned_quota) {
+                    cfl_warn("tenant \"%s\" is at its submission quota; "
+                             "waiting for headroom",
+                             opts.tenant.empty() ? "default"
+                                                 : opts.tenant.c_str());
+                    warned_quota = true;
                 }
+                if (!s.enqueued && expired)
+                    settle(s, index, 128 + SIGKILL, true, policy);
+            } else if (const auto done = queue.doneRecord(s.taskId)) {
+                settle(s, index, static_cast<int>(done->exitCode), false,
+                       policy);
+                // The coordinator-crash injection point: a fault plan
+                // pinning a kill here dies after the K-th completion.
+                fault::checkpoint("queue.backend.completion");
+            } else if (queue.isQuarantined(s.taskId)) {
+                // It kept killing workers: it will never complete, and
+                // no other worker should have to die proving it.
+                cfl_warn("task \"%s\" was quarantined as poison; giving "
+                         "up on it", s.taskId.c_str());
+                settle(s, index, kExitQuarantined, false, policy);
+            } else if (expired) {
+                // A claimed task cannot be stopped remotely; its late
+                // done record is simply never read.
+                queue.cancelTask(s.taskId);
+                settle(s, index, 128 + SIGKILL, true, policy);
             }
-            if (picked->done)
-                ++sched.doneCount;
+            if (s.failed)
+                return k;
+            if (s.ok)
+                --open;
         }
-        sched.wake.notify_all();
+        if (open == 0)
+            return shards.size();
+        std::this_thread::sleep_for(std::chrono::milliseconds(opts.pollMs));
     }
 }
 
 } // namespace
 
-std::uint64_t
-backoffDelayMs(const RetryPolicy &policy, unsigned shard,
-               unsigned failures)
+std::string
+sweepKey(const std::vector<SweepPoint> &points)
 {
-    if (policy.backoffBaseMs == 0 || failures == 0)
-        return 0;
-    const unsigned exp = std::min(failures - 1, 20u);
-    const std::uint64_t delay =
-        std::min<std::uint64_t>(policy.backoffCapMs,
-                                std::uint64_t(policy.backoffBaseMs)
-                                    << exp);
-    // Deterministic jitter into [delay/2, delay): spreads a retry
-    // storm without making any schedule irreproducible.
-    const std::uint64_t lo = delay - delay / 2;
-    if (delay <= lo)
-        return delay;
-    return lo + hashCombine(policy.backoffSeed,
-                            hashCombine(shard, failures)) %
-                    (delay - lo);
+    std::string text;
+    for (const SweepPoint &p : points) {
+        text += sweepio::encodePoint(p);
+        text += '\n';
+    }
+    return sweepio::hexDigest(sweepio::fnv1a64(text));
 }
 
-std::vector<ShardRun>
-dispatchShards(WorkerBackend &backend, const std::vector<ShardJob> &jobs,
-               const RetryPolicy &policy)
+void
+reconcileSweep(queue::WorkQueue &queue, const std::string &key)
 {
-    cfl_assert(policy.maxAttempts >= 1, "maxAttempts must be >= 1");
-    if (jobs.empty())
-        return {};
-
-    Scheduler sched;
-    sched.jobs.resize(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        sched.jobs[i].job = &jobs[i];
-        sched.jobs[i].run.shard = jobs[i].shard;
+    const std::string prefix = key + "-";
+    std::size_t cancelled = queue.cancelPending(prefix);
+    while (true) {
+        // Reclaimed expired tasks are cancelled too, not rerun: their
+        // points are simply cache misses for the fresh dispatch.
+        queue.reclaimExpired();
+        cancelled += queue.cancelPending(prefix);
+        const std::size_t claimed = queue.claimedCount(prefix);
+        if (claimed == 0)
+            break;
+        std::fprintf(stderr,
+                     "reconcile: waiting for %zu in-flight task(s) from "
+                     "a previous coordinator\n", claimed);
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
     }
-
-    std::vector<std::thread> threads;
-    threads.reserve(backend.workers());
-    for (unsigned w = 0; w < backend.workers(); ++w)
-        threads.emplace_back(
-            [&, w] { workerLoop(sched, backend, policy, w); });
-    for (std::thread &t : threads)
-        t.join();
-
-    std::vector<ShardRun> runs;
-    runs.reserve(sched.jobs.size());
-    for (JobState &j : sched.jobs)
-        runs.push_back(std::move(j.run));
-    return runs;
+    if (cancelled != 0)
+        std::fprintf(stderr,
+                     "reconcile: cancelled %zu stale pending task(s)\n",
+                     cancelled);
 }
 
 SweepResult
 runDispatchedSweep(const std::vector<SweepPoint> &points,
-                   WorkerBackend &backend, const DispatchOptions &opts,
+                   queue::WorkQueue &queue, const DispatchOptions &opts,
                    ResultCache *cache, DispatchStats *stats)
 {
+    cfl_assert(opts.retry.maxAttempts >= 1, "maxAttempts must be >= 1");
+    cfl_assert(opts.pollMs >= 1, "poll interval must be positive");
     DispatchStats local;
     DispatchStats &st = stats != nullptr ? *stats : local;
     st = DispatchStats{};
@@ -205,56 +274,56 @@ runDispatchedSweep(const std::vector<SweepPoint> &points,
     }
     st.cachedPoints = points.size() - misses.size();
 
-    // Phase 2: shard the misses and push them through the backend.
+    // Phase 2: shard the misses, enqueue one task per shard, and wait.
     SweepResult fresh;
     if (!misses.empty()) {
         if (opts.sweepBin.empty())
             cfl_fatal("dispatch needs the confluence_sweep binary path");
         const unsigned nshards = static_cast<unsigned>(std::min<std::size_t>(
-            opts.shards != 0 ? opts.shards : backend.workers(),
+            opts.shards != 0 ? opts.shards
+                             : std::max(1u, opts.workerThreads),
             misses.size()));
         st.shards = nshards;
 
+        const std::string key = sweepKey(points);
+        const std::string work_dir = opts.workDir.empty()
+                                         ? queue.dir() + "/work/" + key
+                                         : opts.workDir;
         std::error_code ec;
-        std::filesystem::create_directories(opts.workDir, ec);
+        std::filesystem::create_directories(work_dir, ec);
         if (ec)
             cfl_fatal("cannot create work directory \"%s\": %s",
-                      opts.workDir.c_str(), ec.message().c_str());
+                      work_dir.c_str(), ec.message().c_str());
 
-        std::vector<ShardJob> jobs;
-        std::vector<std::string> result_paths;
-        jobs.reserve(nshards);
-        result_paths.reserve(nshards);
+        std::vector<Shard> shards(nshards);
         for (unsigned k = 0; k < nshards; ++k) {
-            const std::string spec_path =
-                opts.workDir + "/shard" + std::to_string(k) +
-                ".spec.jsonl";
-            const std::string result_path =
-                opts.workDir + "/shard" + std::to_string(k) +
-                ".result.jsonl";
+            const std::string stem = work_dir + "/shard" + std::to_string(k);
+            const std::string spec_path = stem + ".spec.jsonl";
+            Shard &s = shards[k];
+            s.result = stem + ".result.jsonl";
             sweepio::writePoints(spec_path,
                                  sweepio::shardPoints(misses, k, nshards));
-            std::remove(result_path.c_str()); // no stale result can leak
-
-            ShardJob job;
-            job.shard = k;
-            job.command = shellQuote(opts.sweepBin) + " --points " +
-                          shellQuote(spec_path) + " --out " +
-                          shellQuote(result_path);
-            jobs.push_back(std::move(job));
-            result_paths.push_back(result_path);
+            std::remove(s.result.c_str()); // no stale result can leak
+            s.command = shellQuote(opts.sweepBin) + " --points " +
+                        shellQuote(spec_path) + " --out " +
+                        shellQuote(s.result);
         }
 
-        st.shardRuns = dispatchShards(backend, jobs, opts.retry);
-        for (const ShardRun &run : st.shardRuns) {
-            st.retries += run.attempts - 1;
-            st.attempts += run.attempts;
-            st.backoffMs += run.backoffMs;
-            if (!run.ok)
-                cfl_fatal("shard %u failed after %u attempt(s) "
-                          "(last exit %d%s)",
-                          run.shard, run.attempts, run.lastExit,
-                          run.timedOut ? ", timed out" : "");
+        std::size_t failed;
+        {
+            WorkerThreads threads(queue, opts, cache);
+            failed = driveShards(queue, shards, key + "-" + runNonce() + "-",
+                                 opts);
+        }
+        for (const Shard &s : shards) {
+            st.attempts += s.attempts;
+            st.retries += s.attempts == 0 ? 0 : s.attempts - 1;
+        }
+        if (failed != shards.size()) {
+            const Shard &s = shards[failed];
+            cfl_fatal("shard %zu failed after %u attempt(s) (last exit %d%s)",
+                      failed, s.attempts, s.lastExit,
+                      s.timedOut ? ", timed out" : "");
         }
 
         // Merge shard results in shard order: shards are contiguous
@@ -262,18 +331,12 @@ runDispatchedSweep(const std::vector<SweepPoint> &points,
         // up-front reserve keeps the per-shard merge() calls from
         // reallocating the accumulated vector once per shard.
         fresh.points.reserve(misses.size());
-        for (unsigned k = 0; k < nshards; ++k)
-            fresh.merge(sweepio::readResult(result_paths[k]));
+        for (const Shard &s : shards)
+            fresh.merge(sweepio::readResult(s.result));
         if (fresh.points.size() != misses.size())
             cfl_fatal("shard results hold %zu points, expected %zu",
                       fresh.points.size(), misses.size());
         st.evaluatedPoints = fresh.points.size();
-
-        if (cache != nullptr && opts.cacheWriteBack) {
-            for (const SweepOutcome &o : fresh.points)
-                cache->insert(o);
-            cache->flush();
-        }
     }
 
     // Phase 3: reassemble in original submission order — cached and

@@ -1,36 +1,44 @@
 /**
  * @file
- * Fault-tolerant shard dispatcher.
+ * Fault-tolerant sweep dispatch over the persistent work queue.
  *
- * Two layers. dispatchShards() is the scheduling core: it drives a set
- * of shard jobs through a WorkerBackend with one scheduling thread per
- * worker, a per-shard timeout, and bounded retry with worker exclusion
- * — a shard that fails on worker w is retried on a worker that has not
- * yet failed it (falling back to any worker once every worker has), so
- * a single bad host cannot wedge a sweep. Exit codes listed in
- * RetryPolicy::noRetryExits (confluence_sweep uses 3 for a corrupt /
- * duplicate-point shard) fail immediately instead of burning retries:
- * a deterministic rejection will not pass on a different machine.
+ * runDispatchedSweep() consults a content-addressed ResultCache
+ * (result_cache.hh) so only cache-miss points are evaluated at all,
+ * partitions the misses into contiguous shard specs (sweepio/shard.hh),
+ * enqueues one `confluence_sweep --points` task per shard into a
+ * queue::WorkQueue, waits for their done records, and reassembles
+ * outcomes in original submission order. Because per-point seeds are
+ * pure functions of the point coordinates and the codec is
+ * integer-only, the merged result is byte-identical to the
+ * single-process run — cached, sharded, retried, or not (CI asserts
+ * this on every push).
  *
- * runDispatchedSweep() is the sweep driver built on top: it consults a
- * content-addressed ResultCache (result_cache.hh) so only cache-miss
- * points are evaluated at all, partitions the misses into contiguous
- * shard specs (sweepio/shard.hh), runs one `confluence_sweep --points`
- * process per shard through the backend, and reassembles outcomes in
- * original submission order. Because per-point seeds are pure functions
- * of the point coordinates and the codec is integer-only, the merged
- * result is byte-identical to the single-process run — cached, sharded,
- * retried, or not (CI asserts this on every push).
+ * The queue is the only execution substrate; callers differ only in
+ * who supplies the workers (queue/worker.hh): threads this call starts
+ * (DispatchOptions::workerThreads), daemons started over ssh, or
+ * daemons already serving a shared queue. Workers store every shard's
+ * outcomes in the result cache before marking its task done, so a
+ * coordinator killed at any point loses nothing.
  *
- * Failed attempts back off before retrying: capped exponential delay
- * with deterministic jitter (backoffDelayMs — a pure function of the
- * policy seed, shard, and failure count, so a retry schedule replays
- * exactly). While one shard waits out its backoff, workers pick up
- * other pending shards.
+ * While it waits, the coordinator keeps the queue healthy: it reclaims
+ * expired leases (a dead worker's task goes back to pending), gives up
+ * on a task the queue quarantined as poison (exit 6), and enforces the
+ * per-attempt timeout. A failed attempt is re-enqueued as a fresh task
+ * until RetryPolicy::maxAttempts; exit 3 (confluence_sweep's corrupt
+ * or duplicate-point input) and kExitQuarantined fail at once, because
+ * a deterministic rejection will not pass elsewhere.
  *
- * Fault injection for tests/CI goes through CONFLUENCE_FAULT_PLAN
- * (fault/fault.hh): e.g. "pin=dispatch.spawn@1:eio" fails the second
- * attempt the dispatcher spawns, which then retries clean.
+ * Several coordinators can share one queue. Each scopes its tasks and
+ * shard files by sweepKey() — a digest of its full point list, the
+ * same on every restart — so reconcileSweep() only cleans up after a
+ * dead incarnation of the *same* sweep.
+ *
+ * Fault hook for tests/CI: every observed completion passes the
+ * "queue.backend.completion" fault site, so a plan pinning a kill
+ * there SIGKILLs the coordinator after the K-th completion
+ * (CONFLUENCE_FAULT_PLAN="pin=queue.backend.completion@0:kill" kills
+ * it at the first); "pin=dispatch.spawn@1:eio" fails the second shard
+ * command a local dispatch spawns, which then retries clean.
  */
 
 #ifndef CFL_DISPATCH_DISPATCHER_HH
@@ -40,7 +48,7 @@
 #include <string>
 #include <vector>
 
-#include "dispatch/backend.hh"
+#include "queue/queue.hh"
 #include "sim/sweep.hh"
 
 namespace cfl::dispatch
@@ -48,77 +56,40 @@ namespace cfl::dispatch
 
 class ResultCache;
 
-/** One schedulable unit: a shell command producing one shard result. */
-struct ShardJob
-{
-    unsigned shard = 0;       ///< shard index: reporting, backoff jitter
-    std::string command;      ///< the command every attempt runs
-};
+/** The exit code of an attempt whose task the queue quarantined as
+ *  poison: like the sweep's own "corrupt input" code 3, retrying it
+ *  cannot help. */
+inline constexpr int kExitQuarantined = 6;
 
-/** Retry behaviour of dispatchShards(). */
+/** Retry behaviour of runDispatchedSweep(). */
 struct RetryPolicy
 {
     unsigned maxAttempts = 3; ///< total attempts per shard (>= 1)
-    unsigned timeoutSec = 0;  ///< per-attempt wall limit (0 = none)
-    /** Exit codes that mark the shard's input corrupt rather than the
-     *  infrastructure flaky; such failures are never retried.
-     *  Defaults: 3 = confluence_sweep duplicate/corrupt shard input,
-     *  6 = the task was quarantined as poison (queue backend). */
-    std::vector<int> noRetryExits = {3, 6};
-    /** First-retry delay in ms, doubling per subsequent failure of the
-     *  same shard up to backoffCapMs (0 disables backoff). A failed
-     *  shard cannot be retried before its delay elapses, but workers
-     *  take other pending shards meanwhile. */
-    unsigned backoffBaseMs = 100;
-    unsigned backoffCapMs = 5000;
-    /** Jitter seed: delays are deterministic in (seed, shard, failure
-     *  count), so a retry storm never synchronizes yet replays. */
-    std::uint64_t backoffSeed = 0;
+    /** Per-attempt wall limit (0 = none). Threads the dispatch starts
+     *  kill a command at the limit; for external workers the
+     *  coordinator gives up on an attempt this long after enqueueing
+     *  it (cancelling it if still unclaimed). */
+    unsigned timeoutSec = 0;
 };
-
-/**
- * The backoff delay before retrying @p shard after its
- * @p failures-th consecutive failure (1-based): exponential from
- * backoffBaseMs, capped at backoffCapMs, jittered deterministically
- * into [delay/2, delay). Pure; 0 when backoff is disabled or
- * @p failures is 0.
- */
-std::uint64_t backoffDelayMs(const RetryPolicy &policy, unsigned shard,
-                             unsigned failures);
-
-/** What happened to one shard across all its attempts. */
-struct ShardRun
-{
-    unsigned shard = 0;
-    bool ok = false;
-    unsigned attempts = 0;
-    std::vector<unsigned> workers; ///< worker id of each attempt
-    int lastExit = 0;
-    bool timedOut = false;         ///< last attempt hit the timeout
-    std::uint64_t backoffMs = 0;   ///< total injected retry delay
-};
-
-/**
- * Run every job to completion or exhaustion. Returns one ShardRun per
- * job, in job order; the caller decides whether a !ok run is fatal.
- */
-std::vector<ShardRun> dispatchShards(WorkerBackend &backend,
-                                     const std::vector<ShardJob> &jobs,
-                                     const RetryPolicy &policy);
 
 /** Knobs of a dispatched sweep. */
 struct DispatchOptions
 {
-    std::string sweepBin;     ///< path to the confluence_sweep binary
-    std::string workDir;      ///< shard spec/result files live here
-    unsigned shards = 0;      ///< shard count (0 = one per worker)
+    std::string sweepBin; ///< path to the confluence_sweep binary
+    /** Shard spec/result files live here; every worker must see it.
+     *  "" = <queue dir>/work/<sweepKey>. */
+    std::string workDir;
+    /** Shard count (0 = one per worker thread, at least one). */
+    unsigned shards = 0;
     RetryPolicy retry;
-    /** Store fresh outcomes back into the cache. Queue-mode dispatch
-     *  turns this off: there the worker daemons append each shard's
-     *  outcomes themselves (so a SIGKILLed coordinator loses nothing),
-     *  and a coordinator-side re-insert — whose in-memory view
-     *  predates those appends — would only duplicate store lines. */
-    bool cacheWriteBack = true;
+    /** Threads that serve the queue for the duration of the call
+     *  (0 = workers are external). */
+    unsigned workerThreads = 0;
+    unsigned pollMs = 50;   ///< done-record poll interval
+    /** Tenant the tasks run as ("" = "default"). At the tenant's
+     *  submission quota the coordinator waits for headroom. */
+    std::string tenant;
+    std::int64_t priority = 0; ///< task priority (higher claims first)
 };
 
 /** Bookkeeping a dispatched sweep reports back. */
@@ -130,20 +101,33 @@ struct DispatchStats
     unsigned shards = 0;
     unsigned retries = 0;            ///< attempts beyond the first
     unsigned attempts = 0;           ///< total attempts, all shards
-    std::uint64_t backoffMs = 0;     ///< total retry delay, all shards
-    std::vector<ShardRun> shardRuns;
 };
 
+/** The digest that scopes a sweep inside a shared queue: a function of
+ *  the full point list only, so a restarted coordinator gets the same
+ *  key. */
+std::string sweepKey(const std::vector<SweepPoint> &points);
+
 /**
- * Evaluate @p points through @p backend, serving cache hits from
- * @p cache (may be nullptr: cache disabled) and storing fresh outcomes
- * back into it. The returned result lists outcomes in the submission
- * order of @p points and is byte-identical (sweepio::encodeResult) to
- * runTimingSweep over the same points. fatal()s if any shard exhausts
+ * Clean up what a dead coordinator of the sweep @p key left in
+ * @p queue: cancel its unclaimed tasks (this coordinator re-partitions
+ * whatever the cache still misses), then wait for its claimed ones to
+ * finish or expire — their workers fold completed outcomes into the
+ * result cache, so a cache opened *after* this returns sees all
+ * surviving work. Tasks of other sweeps are untouched.
+ */
+void reconcileSweep(queue::WorkQueue &queue, const std::string &key);
+
+/**
+ * Evaluate @p points through @p queue, serving cache hits from
+ * @p cache (may be nullptr: cache disabled). The returned result lists
+ * outcomes in the submission order of @p points and is byte-identical
+ * (sweepio::encodeResult) to runTimingSweep over the same points.
+ * Fully cached sweeps enqueue nothing. fatal()s if any shard exhausts
  * its attempts.
  */
 SweepResult runDispatchedSweep(const std::vector<SweepPoint> &points,
-                               WorkerBackend &backend,
+                               queue::WorkQueue &queue,
                                const DispatchOptions &opts,
                                ResultCache *cache, DispatchStats *stats);
 

@@ -1,4 +1,4 @@
-#include "dispatch/backend.hh"
+#include "dispatch/process.hh"
 
 #include <cerrno>
 #include <chrono>
@@ -32,13 +32,11 @@ shellQuote(const std::string &text)
 
 std::string
 sshWrapCommand(const std::string &host, const std::string &remote_dir,
-               const std::string &command, unsigned timeout_sec)
+               const std::string &command)
 {
     std::string remote;
     if (!remote_dir.empty())
         remote = "cd " + shellQuote(remote_dir) + " && ";
-    if (timeout_sec != 0)
-        remote += "timeout " + std::to_string(timeout_sec) + " ";
     remote += command;
     return "ssh -o BatchMode=yes " + shellQuote(host) + " " +
            shellQuote(remote);
@@ -60,16 +58,22 @@ runLocalCommand(const std::string &command, unsigned timeout_sec,
     if (pid < 0)
         cfl_fatal("fork failed: %s", std::strerror(errno));
     if (pid == 0) {
+        // A group of its own, so a kill reaches whatever the shell
+        // forks, not just the shell.
+        ::setpgid(0, 0);
         ::execl("/bin/sh", "sh", "-c", command.c_str(),
                 static_cast<char *>(nullptr));
         // exec failed; 127 is the shell's own "command not found".
         ::_exit(127);
     }
+    // Set the group from this side too: a kill(-pid) issued before the
+    // child has run its own setpgid must not miss.
+    ::setpgid(pid, pid);
     // An injected child kill models the OOM killer (or an operator)
     // taking out the worker process mid-run: the wait loop below sees
     // an ordinary SIGKILL death (exit 137).
     if (isIoFault(fault::at("dispatch.child.kill").kind))
-        ::kill(pid, SIGKILL);
+        ::kill(-pid, SIGKILL);
 
     using Clock = std::chrono::steady_clock;
     const Clock::time_point deadline =
@@ -86,7 +90,7 @@ runLocalCommand(const std::string &command, unsigned timeout_sec,
         const bool expired =
             timeout_sec != 0 && Clock::now() >= deadline;
         if (expired || (poll_tick && !poll_tick())) {
-            ::kill(pid, SIGKILL);
+            ::kill(-pid, SIGKILL);
             ::waitpid(pid, &status, 0);
             RunStatus out;
             out.exitCode = 128 + SIGKILL;
@@ -104,39 +108,6 @@ runLocalCommand(const std::string &command, unsigned timeout_sec,
     else
         out.exitCode = -1;
     return out;
-}
-
-LocalBackend::LocalBackend(unsigned workers) : workers_(workers)
-{
-    cfl_assert(workers >= 1, "a backend needs at least one worker");
-}
-
-RunStatus
-LocalBackend::run(unsigned worker, const std::string &command,
-                  unsigned timeout_sec)
-{
-    cfl_assert(worker < workers_, "worker %u out of range", worker);
-    return runLocalCommand(command, timeout_sec);
-}
-
-SshBackend::SshBackend(std::vector<std::string> hosts,
-                       std::string remote_dir)
-    : hosts_(std::move(hosts)), remoteDir_(std::move(remote_dir))
-{
-    cfl_assert(!hosts_.empty(), "a backend needs at least one worker");
-}
-
-RunStatus
-SshBackend::run(unsigned worker, const std::string &command,
-                unsigned timeout_sec)
-{
-    cfl_assert(worker < workers(), "worker %u out of range", worker);
-    // The remote `timeout` wrapper is authoritative (it kills the
-    // sweep where it runs); the local watchdog gets a grace period on
-    // top and only fires when the connection itself is dead.
-    return runLocalCommand(
-        sshWrapCommand(hosts_[worker], remoteDir_, command, timeout_sec),
-        timeout_sec == 0 ? 0 : timeout_sec + 10);
 }
 
 } // namespace cfl::dispatch

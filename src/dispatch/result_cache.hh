@@ -15,8 +15,9 @@
  * (sweepio::encodeCacheEntry): appendable, mergeable by concatenation,
  * and human-greppable. On load, duplicate keys resolve to the last
  * line, so appending a re-evaluation supersedes older entries. The
- * class itself is not thread-safe; the dispatcher does all cache
- * traffic from its coordinating thread.
+ * class itself is not thread-safe: the dispatcher does its lookups
+ * before any worker thread starts, and queue workers sharing an
+ * instance serialize their write-back (queue/worker.hh).
  *
  * Environment:
  *   CONFLUENCE_CACHE_DIR    — store directory for defaultStorePath()

@@ -146,14 +146,17 @@ hasTaskFile(const std::string &dir, const std::string &id)
 }
 
 std::size_t
-countTaskFiles(const std::string &dir)
+countTaskFiles(const std::string &dir, const std::string &id_prefix = "")
 {
     std::size_t count = 0;
     std::error_code ec;
     for (const fs::directory_entry &entry :
-         fs::directory_iterator(dir, ec))
-        if (parseTaskFileName(entry.path().filename().string()))
+         fs::directory_iterator(dir, ec)) {
+        const std::optional<TaskFileInfo> info =
+            parseTaskFileName(entry.path().filename().string());
+        if (info && info->id.starts_with(id_prefix))
             ++count;
+    }
     return ec ? 0 : count;
 }
 
@@ -581,10 +584,12 @@ WorkQueue::enqueueNormalized(TaskRecord task)
 }
 
 std::size_t
-WorkQueue::cancelPending()
+WorkQueue::cancelPending(const std::string &id_prefix)
 {
     std::size_t count = 0;
     for (const TaskFileInfo &info : scanTaskFiles(dir_ + "/pending")) {
+        if (!info.id.starts_with(id_prefix))
+            continue;
         if (!faultTryRename(dir_ + "/pending/" + info.name,
                             dir_ + "/cancelled/" + info.name,
                             "queue.cancel.rename"))
@@ -624,9 +629,9 @@ WorkQueue::pendingCount() const
 }
 
 std::size_t
-WorkQueue::claimedCount() const
+WorkQueue::claimedCount(const std::string &id_prefix) const
 {
-    return countTaskFiles(dir_ + "/claimed");
+    return countTaskFiles(dir_ + "/claimed", id_prefix);
 }
 
 std::size_t
@@ -1131,58 +1136,6 @@ void
 WorkQueue::clearStop()
 {
     ::unlink((dir_ + "/stop").c_str());
-}
-
-std::string
-shellExtractFlagValue(const std::string &command, const std::string &flag)
-{
-    // Tokenize the way /bin/sh would split this command line: spaces
-    // outside quotes separate words, single quotes span literally, and
-    // a backslash outside quotes escapes the next character (the only
-    // place shellQuote() emits one is the '\'' embedded-quote idiom).
-    // Matching the flag against whole *words* keeps a flag-shaped
-    // substring inside some quoted path from ever counting.
-    std::vector<std::string> words;
-    std::string word;
-    bool in_word = false, in_quotes = false;
-    for (std::size_t i = 0; i < command.size(); ++i) {
-        const char c = command[i];
-        if (in_quotes) {
-            if (c == '\'')
-                in_quotes = false;
-            else
-                word += c;
-            continue;
-        }
-        if (c == '\'') {
-            in_quotes = true;
-            in_word = true;
-            continue;
-        }
-        if (c == '\\' && i + 1 < command.size()) {
-            word += command[++i];
-            in_word = true;
-            continue;
-        }
-        if (c == ' ') {
-            if (in_word)
-                words.push_back(std::move(word));
-            word.clear();
-            in_word = false;
-            continue;
-        }
-        word += c;
-        in_word = true;
-    }
-    if (in_word)
-        words.push_back(std::move(word));
-
-    // The last occurrence wins, like the shell's own option parsing.
-    std::string value;
-    for (std::size_t i = 0; i + 1 < words.size(); ++i)
-        if (words[i] == flag)
-            value = words[i + 1];
-    return value;
 }
 
 } // namespace cfl::queue

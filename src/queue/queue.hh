@@ -176,16 +176,18 @@ class WorkQueue
      *  it was never configured. */
     sweepio::TenantRecord tenantConfig(const std::string &tenant) const;
 
-    /** Withdraw every unclaimed task; returns how many. Tasks already
+    /** Withdraw every unclaimed task whose id starts with
+     *  @p id_prefix ("" = all); returns how many. Tasks already
      *  claimed are untouched (their workers are running). */
-    std::size_t cancelPending();
+    std::size_t cancelPending(const std::string &id_prefix = "");
 
     /** Withdraw one unclaimed task by id; false if it was not pending
      *  (already claimed, done, or never enqueued). */
     bool cancelTask(const std::string &id);
 
     std::size_t pendingCount() const;
-    std::size_t claimedCount() const;
+    /** Claimed tasks whose id starts with @p id_prefix ("" = all). */
+    std::size_t claimedCount(const std::string &id_prefix = "") const;
     /** Live (pending + claimed) tasks of @p tenant — what quotas
      *  bound. */
     std::size_t liveCount(const std::string &tenant) const;
@@ -322,17 +324,6 @@ class WorkQueue
     int logFd_ = -1;           ///< tasks.jsonl, opened once per run
     std::uint64_t tmpCounter_ = 0;
 };
-
-/**
- * The value of @p flag in the /bin/sh command line @p command, with
- * shellQuote()-style single quoting undone — how queue machinery
- * recovers the spec/result paths embedded in a task's command (e.g.
- * "--out"). Returns "" when the flag is absent. The *last* occurrence
- * wins, matching how the shell's own option parsing would behave for
- * repeated flags.
- */
-std::string shellExtractFlagValue(const std::string &command,
-                                  const std::string &flag);
 
 } // namespace cfl::queue
 

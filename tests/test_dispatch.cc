@@ -1,30 +1,38 @@
 /**
  * @file Tests for the dispatch subsystem: result-cache key stability
  * (same point+seed → same digest across runs; code-version bump →
- * miss), the content-addressed store round trip, shard retry/worker-
- * exclusion scheduling, the no-retry classification of corrupt-shard
- * exit codes, and the local backend's timeout enforcement.
+ * miss), the content-addressed store round trip, dispatched sweeps
+ * over a private work queue served by in-process worker threads (byte
+ * identity, retry as a fresh task, exhausted and no-retry exit codes,
+ * per-command timeouts), and the process-spawn helper's timeout and
+ * process-group kill.
  */
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "dispatch/backend.hh"
+#include <unistd.h>
+
 #include "dispatch/dispatcher.hh"
 #include "dispatch/history.hh"
+#include "dispatch/process.hh"
 #include "dispatch/result_cache.hh"
+#include "queue/queue.hh"
+#include "shard_test_util.hh"
 #include "sweepio/codec.hh"
 #include "sweepio/digest.hh"
 
 using namespace cfl;
 using namespace cfl::dispatch;
+using namespace cfl::test;
 
 namespace
 {
@@ -64,68 +72,24 @@ tmpPath(const std::string &name)
     return ::testing::TempDir() + "dispatch_" + name;
 }
 
-/**
- * A scriptable backend: fails the first @p failures attempts of the
- * shards listed in @p failShards (with @p failExit), records every
- * (worker, command) invocation, and never touches the OS.
- */
-class FakeBackend : public WorkerBackend
+/** Fresh directory for one test. */
+std::string
+freshDir(const std::string &name)
 {
-  public:
-    FakeBackend(unsigned workers, std::set<unsigned> fail_shards,
-                unsigned failures, int fail_exit = 1)
-        : workers_(workers), failShards_(std::move(fail_shards)),
-          failures_(failures), failExit_(fail_exit)
-    {
-    }
+    const std::string dir = tmpPath(name);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
 
-    unsigned workers() const override { return workers_; }
-
-    RunStatus run(unsigned worker, const std::string &command,
-                  unsigned) override
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // Commands embed "shard<K>" (the driver's spec naming); the
-        // fake encodes the shard index directly instead.
-        const unsigned shard = static_cast<unsigned>(
-            std::stoul(command.substr(command.rfind(' ') + 1)));
-        calls_.push_back({worker, command});
-        RunStatus status;
-        if (failShards_.count(shard) != 0 &&
-            attempts_[shard]++ < failures_)
-            status.exitCode = failExit_;
-        return status;
-    }
-
-    struct Call
-    {
-        unsigned worker;
-        std::string command;
-    };
-
-    std::vector<Call> calls() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return calls_;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    unsigned workers_;
-    std::set<unsigned> failShards_;
-    unsigned failures_;
-    int failExit_;
-    std::map<unsigned, unsigned> attempts_;
-    std::vector<Call> calls_;
-};
-
-std::vector<ShardJob>
-fakeJobs(unsigned count)
+std::size_t
+countLines(const std::string &path)
 {
-    std::vector<ShardJob> jobs;
-    for (unsigned k = 0; k < count; ++k)
-        jobs.push_back({k, "run " + std::to_string(k)});
-    return jobs;
+    std::ifstream in(path);
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line);)
+        ++lines;
+    return lines;
 }
 
 } // namespace
@@ -338,156 +302,10 @@ TEST(RegressionHistory, StoreIsOpenedOncePerRunNotPerAppend)
 }
 
 // ---------------------------------------------------------------------------
-// Shard scheduling: retry, worker exclusion, no-retry classification
+// Dispatched sweeps: a private queue served by in-process threads
 // ---------------------------------------------------------------------------
 
-TEST(DispatchShards, FailedShardRetriesOnADifferentWorker)
-{
-    FakeBackend backend(3, {1}, 1);
-    RetryPolicy policy;
-    policy.maxAttempts = 3;
-
-    const std::vector<ShardRun> runs =
-        dispatchShards(backend, fakeJobs(3), policy);
-    ASSERT_EQ(runs.size(), 3u);
-    for (const ShardRun &run : runs)
-        EXPECT_TRUE(run.ok) << "shard " << run.shard;
-
-    const ShardRun &faulty = runs[1];
-    EXPECT_EQ(faulty.shard, 1u);
-    EXPECT_EQ(faulty.attempts, 2u);
-    ASSERT_EQ(faulty.workers.size(), 2u);
-    // Worker exclusion: the retry must land on a worker that has not
-    // already failed this shard.
-    EXPECT_NE(faulty.workers[0], faulty.workers[1]);
-    // The healthy shards succeeded on their first attempt.
-    EXPECT_EQ(runs[0].attempts, 1u);
-    EXPECT_EQ(runs[2].attempts, 1u);
-}
-
-TEST(DispatchShards, ExhaustsAttemptsAcrossDistinctWorkersThenFails)
-{
-    FakeBackend backend(3, {0}, 1000, 9);
-    RetryPolicy policy;
-    policy.maxAttempts = 3;
-
-    const std::vector<ShardRun> runs =
-        dispatchShards(backend, fakeJobs(1), policy);
-    ASSERT_EQ(runs.size(), 1u);
-    EXPECT_FALSE(runs[0].ok);
-    EXPECT_EQ(runs[0].attempts, 3u);
-    EXPECT_EQ(runs[0].lastExit, 9);
-    // Three attempts on three workers: all distinct before any reuse.
-    std::set<unsigned> distinct(runs[0].workers.begin(),
-                                runs[0].workers.end());
-    EXPECT_EQ(distinct.size(), 3u);
-}
-
-TEST(DispatchShards, SingleWorkerPoolMayRetryOnTheSameWorker)
-{
-    FakeBackend backend(1, {0}, 1);
-    RetryPolicy policy;
-    policy.maxAttempts = 2;
-
-    const std::vector<ShardRun> runs =
-        dispatchShards(backend, fakeJobs(1), policy);
-    ASSERT_EQ(runs.size(), 1u);
-    // With every worker excluded, retry-anywhere beats deadlock.
-    EXPECT_TRUE(runs[0].ok);
-    EXPECT_EQ(runs[0].attempts, 2u);
-    EXPECT_EQ(runs[0].workers[0], runs[0].workers[1]);
-}
-
-TEST(DispatchShards, CorruptShardExitCodeIsNeverRetried)
-{
-    // Exit 3 is confluence_sweep's duplicate-point rejection: the
-    // input is corrupt, so retrying elsewhere cannot succeed.
-    FakeBackend backend(3, {0}, 1000, 3);
-    RetryPolicy policy;
-    policy.maxAttempts = 5;
-
-    const std::vector<ShardRun> runs =
-        dispatchShards(backend, fakeJobs(1), policy);
-    ASSERT_EQ(runs.size(), 1u);
-    EXPECT_FALSE(runs[0].ok);
-    EXPECT_EQ(runs[0].attempts, 1u);
-    EXPECT_EQ(runs[0].lastExit, 3);
-}
-
-// ---------------------------------------------------------------------------
-// Retry backoff: deterministic jittered delays, stats accounting
-// ---------------------------------------------------------------------------
-
-TEST(DispatchBackoff, DelayIsDeterministicBoundedAndCapped)
-{
-    RetryPolicy policy;
-    policy.backoffBaseMs = 100;
-    policy.backoffCapMs = 5000;
-    policy.backoffSeed = 42;
-
-    // No failures yet, or backoff disabled: no delay.
-    EXPECT_EQ(backoffDelayMs(policy, 0, 0), 0u);
-    RetryPolicy off = policy;
-    off.backoffBaseMs = 0;
-    EXPECT_EQ(backoffDelayMs(off, 0, 3), 0u);
-
-    for (unsigned shard = 0; shard < 4; ++shard) {
-        for (unsigned failures = 1; failures < 12; ++failures) {
-            const std::uint64_t delay =
-                backoffDelayMs(policy, shard, failures);
-            // Deterministic: same (policy, shard, failures) in a
-            // restarted coordinator waits the same time.
-            EXPECT_EQ(delay, backoffDelayMs(policy, shard, failures));
-            // Jitter stays within [nominal/2, nominal], nominal being
-            // the capped exponential base << (failures-1).
-            const std::uint64_t nominal = std::min<std::uint64_t>(
-                policy.backoffCapMs,
-                static_cast<std::uint64_t>(policy.backoffBaseMs)
-                    << std::min(failures - 1, 20u));
-            EXPECT_GE(delay, nominal / 2);
-            EXPECT_LE(delay, nominal);
-        }
-        // Deep failure counts saturate at the cap, never overflow.
-        EXPECT_LE(backoffDelayMs(policy, shard, 64), 5000u);
-        EXPECT_GE(backoffDelayMs(policy, shard, 64), 2500u);
-    }
-
-    // Different shards (and seeds) jitter differently, so a fleet of
-    // failing shards does not retry in lockstep.
-    bool differs = false;
-    for (unsigned shard = 1; shard < 8 && !differs; ++shard)
-        differs = backoffDelayMs(policy, shard, 3) !=
-                  backoffDelayMs(policy, 0, 3);
-    EXPECT_TRUE(differs);
-}
-
-TEST(DispatchShards, RetriesAccumulateBackoffIntoTheShardRun)
-{
-    FakeBackend backend(3, {1}, 2);
-    RetryPolicy policy;
-    policy.maxAttempts = 4;
-    policy.backoffBaseMs = 4; // keep the test fast but nonzero
-    policy.backoffCapMs = 50;
-    policy.backoffSeed = 7;
-
-    const std::vector<ShardRun> runs =
-        dispatchShards(backend, fakeJobs(3), policy);
-    ASSERT_EQ(runs.size(), 3u);
-    const ShardRun &faulty = runs[1];
-    EXPECT_TRUE(faulty.ok);
-    EXPECT_EQ(faulty.attempts, 3u);
-    // Two failures, two waits — exactly the deterministic delays.
-    EXPECT_EQ(faulty.backoffMs, backoffDelayMs(policy, 1, 1) +
-                                    backoffDelayMs(policy, 1, 2));
-    EXPECT_EQ(runs[0].backoffMs, 0u);
-    EXPECT_EQ(runs[2].backoffMs, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Cache-only dispatch: zero backend traffic, original point order
-// ---------------------------------------------------------------------------
-
-TEST(DispatchedSweep, FullyCachedSweepNeverTouchesTheBackend)
+TEST(DispatchedSweep, FullyCachedSweepEnqueuesNothing)
 {
     const std::string store = tmpPath("cache_full.jsonl");
     std::remove(store.c_str());
@@ -504,18 +322,19 @@ TEST(DispatchedSweep, FullyCachedSweepNeverTouchesTheBackend)
     for (std::size_t i = points.size(); i-- > 0;)
         cache.insert(someOutcome(points[i].kind, points[i].workload));
 
-    FakeBackend backend(2, {}, 0);
+    queue::WorkQueue queue(freshDir("cache_full_queue"));
     DispatchOptions opts;
     opts.sweepBin = "unused";
-    opts.workDir = tmpPath("cache_full_work");
+    opts.workerThreads = 2;
 
     DispatchStats stats;
     const SweepResult result =
-        runDispatchedSweep(points, backend, opts, &cache, &stats);
+        runDispatchedSweep(points, queue, opts, &cache, &stats);
 
-    EXPECT_EQ(backend.calls().size(), 0u);
+    EXPECT_TRUE(queue.readLog().empty()); // not one task enqueued
     EXPECT_EQ(stats.cachedPoints, points.size());
     EXPECT_EQ(stats.evaluatedPoints, 0u);
+    EXPECT_EQ(stats.attempts, 0u);
     ASSERT_EQ(result.points.size(), points.size());
     // Reassembly preserves submission order, not insertion order.
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -525,27 +344,181 @@ TEST(DispatchedSweep, FullyCachedSweepNeverTouchesTheBackend)
     std::remove(store.c_str());
 }
 
-// ---------------------------------------------------------------------------
-// Local backend: real processes, exit codes, timeout
-// ---------------------------------------------------------------------------
-
-TEST(LocalBackend, ReportsExitCodesAndEnforcesTimeouts)
+TEST(DispatchedSweep, ThreadsMergeByteIdenticalAndFillTheCache)
 {
-    LocalBackend backend(1);
+    const std::string dir = freshDir("threads");
+    const std::vector<SweepPoint> points = tinyGrid();
+    queue::WorkQueue queue(dir + "/queue");
+    DispatchOptions opts;
+    opts.sweepBin = CFL_SWEEP_BIN;
+    opts.workerThreads = 2;
+    opts.shards = 3;
 
-    EXPECT_TRUE(backend.run(0, "true", 0).ok());
+    DispatchStats stats;
+    {
+        ResultCache cache(dir + "/cache.jsonl", "v1");
+        const SweepResult merged =
+            runDispatchedSweep(points, queue, opts, &cache, &stats);
+        EXPECT_EQ(sweepio::encodeResult(merged), referenceBytes(points));
+    }
+    EXPECT_EQ(stats.evaluatedPoints, points.size());
+    EXPECT_EQ(stats.shards, 3u);
+    EXPECT_EQ(stats.attempts, 3u);
+    EXPECT_EQ(stats.retries, 0u);
+    EXPECT_EQ(queue.pendingCount() + queue.claimedCount(), 0u);
 
-    const RunStatus failed = backend.run(0, "exit 7", 0);
+    // The worker threads stored every outcome before marking its task
+    // done: a second dispatch is pure cache replay.
+    ResultCache reload(dir + "/cache.jsonl", "v1");
+    EXPECT_EQ(reload.size(), points.size());
+    runDispatchedSweep(points, queue, opts, &reload, &stats);
+    EXPECT_EQ(stats.cachedPoints, points.size());
+    EXPECT_EQ(stats.attempts, 0u);
+}
+
+TEST(DispatchedSweep, FailedAttemptIsRetriedAsAFreshTask)
+{
+    const std::string dir = freshDir("retry");
+    const std::vector<SweepPoint> points = tinyGrid();
+    queue::WorkQueue queue(dir + "/queue");
+    DispatchOptions opts;
+    // Every shard fails its first attempt, then runs for real.
+    opts.sweepBin = scriptedSweep(
+        dir, "[ -e \"$4.failed\" ] || { touch \"$4.failed\"; exit 9; }");
+    opts.workerThreads = 2;
+    opts.shards = 2;
+    opts.retry.maxAttempts = 2;
+
+    DispatchStats stats;
+    const SweepResult merged =
+        runDispatchedSweep(points, queue, opts, nullptr, &stats);
+    EXPECT_EQ(sweepio::encodeResult(merged), referenceBytes(points));
+    EXPECT_EQ(stats.attempts, 4u);
+    EXPECT_EQ(stats.retries, 2u);
+    EXPECT_EQ(countLines(dir + "/runs.log"), 4u);
+
+    // Each retry went through the queue as a task of its own.
+    std::set<std::string> enqueued;
+    for (const sweepio::QueueLogRecord &record : queue.readLog())
+        if (record.op == "enqueue")
+            enqueued.insert(record.task.id);
+    EXPECT_EQ(enqueued.size(), 4u);
+}
+
+TEST(DispatchedSweep, ExhaustedRetriesAreFatal)
+{
+    const std::string dir = freshDir("exhaust");
+    DispatchOptions opts;
+    opts.sweepBin = scriptedSweep(dir, "exit 9");
+    opts.workerThreads = 2;
+    opts.shards = 1;
+    opts.retry.maxAttempts = 3;
+    EXPECT_EXIT(
+        {
+            queue::WorkQueue queue(dir + "/queue");
+            runDispatchedSweep(tinyGrid(), queue, opts, nullptr, nullptr);
+        },
+        ::testing::ExitedWithCode(1),
+        "shard 0 failed after 3 attempt\\(s\\) \\(last exit 9\\)");
+    EXPECT_EQ(countLines(dir + "/runs.log"), 3u);
+}
+
+TEST(DispatchedSweep, CorruptShardExitCodeIsNeverRetried)
+{
+    // Exit 3 is confluence_sweep's duplicate-point rejection: the
+    // input is corrupt, so retrying elsewhere cannot succeed.
+    const std::string dir = freshDir("corrupt");
+    DispatchOptions opts;
+    opts.sweepBin = scriptedSweep(dir, "exit 3");
+    opts.workerThreads = 2;
+    opts.shards = 1;
+    opts.retry.maxAttempts = 5;
+    EXPECT_EXIT(
+        {
+            queue::WorkQueue queue(dir + "/queue");
+            runDispatchedSweep(tinyGrid(), queue, opts, nullptr, nullptr);
+        },
+        ::testing::ExitedWithCode(1),
+        "failed after 1 attempt\\(s\\) \\(last exit 3\\)");
+    EXPECT_EQ(countLines(dir + "/runs.log"), 1u);
+}
+
+TEST(DispatchedSweep, TimedOutCommandIsKilledAndRetried)
+{
+    const std::string dir = freshDir("timeout");
+    const std::vector<SweepPoint> points = tinyGrid();
+    queue::WorkQueue queue(dir + "/queue");
+    DispatchOptions opts;
+    // The first attempt hangs; the thread running it kills it at the
+    // one-second limit and the retry runs for real.
+    opts.sweepBin = scriptedSweep(
+        dir, "[ -e \"$4.hung\" ] || { touch \"$4.hung\"; sleep 30; }");
+    opts.workerThreads = 1;
+    opts.shards = 1;
+    opts.retry.timeoutSec = 1;
+
+    DispatchStats stats;
+    const SweepResult merged =
+        runDispatchedSweep(points, queue, opts, nullptr, &stats);
+    EXPECT_EQ(sweepio::encodeResult(merged), referenceBytes(points));
+    EXPECT_EQ(stats.attempts, 2u);
+    bool saw_kill = false;
+    for (const sweepio::QueueLogRecord &record : queue.readLog())
+        saw_kill |= record.op == "done" &&
+                    record.done.exitCode == 128u + SIGKILL;
+    EXPECT_TRUE(saw_kill);
+}
+
+// ---------------------------------------------------------------------------
+// Process spawning: exit codes, timeout, process-group kill, ssh wrapping
+// ---------------------------------------------------------------------------
+
+TEST(RunLocalCommand, ReportsExitCodes)
+{
+    EXPECT_TRUE(runLocalCommand("true", 0).ok());
+
+    const RunStatus failed = runLocalCommand("exit 7", 0);
     EXPECT_FALSE(failed.ok());
     EXPECT_EQ(failed.exitCode, 7);
     EXPECT_FALSE(failed.timedOut);
-
-    const RunStatus slow = backend.run(0, "sleep 30", 1);
-    EXPECT_FALSE(slow.ok());
-    EXPECT_TRUE(slow.timedOut);
 }
 
-TEST(SshBackend, WrapsCommandsWithBatchModeAndQuoting)
+TEST(RunLocalCommand, TimeoutKillsTheWholeProcessGroup)
+{
+    // /bin/sh forks a background child and waits on it: killing only
+    // the shell would leave `sleep 30` running.
+    const std::string pid_file = freshDir("pgroup") + "/child.pid";
+    const RunStatus slow = runLocalCommand(
+        "sleep 30 & echo $! > " + shellQuote(pid_file) + "; wait", 1);
+    EXPECT_FALSE(slow.ok());
+    EXPECT_TRUE(slow.timedOut);
+
+    pid_t child = 0;
+    std::ifstream(pid_file) >> child;
+    ASSERT_GT(child, 0);
+    // The orphan is reparented, so it may linger briefly as a zombie
+    // until its new parent reaps it; either way it must not run.
+    bool alive = true;
+    for (int i = 0; i < 100 && alive; ++i) {
+        if (::kill(child, 0) != 0 && errno == ESRCH)
+            alive = false;
+        else {
+            std::string stat;
+            std::getline(std::ifstream("/proc/" + std::to_string(child) +
+                                       "/stat"),
+                         stat);
+            const std::size_t paren = stat.rfind(')');
+            if (paren != std::string::npos && paren + 2 < stat.size() &&
+                stat[paren + 2] == 'Z')
+                alive = false;
+        }
+        if (alive)
+            ::usleep(20'000);
+    }
+    EXPECT_FALSE(alive) << "pid " << child << " outlived the timeout";
+}
+
+TEST(SshWrapCommand, WrapsCommandsWithBatchModeAndQuoting)
 {
     EXPECT_EQ(sshWrapCommand("host1", "", "echo hi"),
               "ssh -o BatchMode=yes 'host1' 'echo hi'");
@@ -553,13 +526,9 @@ TEST(SshBackend, WrapsCommandsWithBatchModeAndQuoting)
     EXPECT_EQ(sshWrapCommand("u@h", "/sweeps/run dir", "echo 'x'"),
               "ssh -o BatchMode=yes 'u@h' "
               "'cd '\\''/sweeps/run dir'\\'' && echo '\\''x'\\'''");
-    // A timeout is enforced remotely too: killing only the local ssh
-    // client would leave the sweep running as an orphan.
-    EXPECT_EQ(sshWrapCommand("host1", "", "echo hi", 60),
-              "ssh -o BatchMode=yes 'host1' 'timeout 60 echo hi'");
 }
 
-TEST(SshBackend, QueueDirPathsWithSpacesAndQuotesSurviveWrapping)
+TEST(SshWrapCommand, QueueDirPathsWithSpacesAndQuotesSurviveWrapping)
 {
     // Starting a remote worker daemon against a queue directory that
     // holds spaces and single quotes: the worker command is itself

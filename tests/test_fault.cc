@@ -21,10 +21,10 @@
 #include <unistd.h>
 #include <vector>
 
+#include "dispatch/dispatcher.hh"
 #include "dispatch/history.hh"
 #include "dispatch/result_cache.hh"
 #include "fault/fault.hh"
-#include "queue/backend.hh"
 #include "queue/queue.hh"
 #include "sweepio/codec.hh"
 #include "sweepio/queue_codec.hh"
@@ -529,32 +529,42 @@ TEST(FaultQueue, RepeatedlyReclaimedTaskIsQuarantined)
     EXPECT_TRUE(have_record);
 }
 
-TEST(FaultQueue, BackendSurfacesQuarantineAsExitSix)
+TEST(FaultQueue, QuarantinedTaskFailsTheDispatchWithExitSixUnretried)
 {
-    // Real clock: a worker thread claims the task with a 1s lease and
-    // never completes it; the backend's wait loop reclaims the expired
-    // lease, quarantines on the first strike, and gives up with the
-    // documented no-retry exit code instead of waiting forever.
-    WorkQueue queue(tmpPath("backend_quarantine"));
-    queue.setQuarantineAfter(1);
-    QueueBackend::Options opts;
-    opts.slots = 1;
+    // Real clock: a worker thread claims the shard's task with a 1s
+    // lease and never completes it; the coordinator's wait loop
+    // reclaims the expired lease, quarantines on the first strike, and
+    // gives up with the documented no-retry exit code instead of
+    // waiting forever or feeding the poison to another worker.
+    const std::string dir = tmpPath("dispatch_quarantine");
+    const std::vector<SweepPoint> points = {
+        {FrontendKind::Baseline, WorkloadId::DssQry, RunScale{}}};
+    dispatch::DispatchOptions opts;
+    opts.sweepBin = "never-run";
     opts.pollMs = 20;
-    QueueBackend backend(queue, opts);
-
-    std::thread claimer([&] {
-        while (true) {
-            if (queue.claim("doomed-worker", 1).has_value())
-                return;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10));
-        }
-    });
-    const dispatch::RunStatus status =
-        backend.run(0, "true --out /dev/null", 30);
-    claimer.join();
-    EXPECT_EQ(status.exitCode, kExitQuarantined);
+    opts.retry.maxAttempts = 3;
+    EXPECT_EXIT(
+        {
+            WorkQueue queue(dir);
+            queue.setQuarantineAfter(1);
+            std::thread claimer([&] {
+                while (!queue.claim("doomed-worker", 1).has_value())
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(10));
+            });
+            dispatch::runDispatchedSweep(points, queue, opts, nullptr,
+                                         nullptr);
+            claimer.join(); // not reached: the dispatch fails
+        },
+        ::testing::ExitedWithCode(1),
+        "quarantined as poison.*failed after 1 attempt\\(s\\) "
+        "\\(last exit 6\\)");
+    WorkQueue queue(dir);
     EXPECT_EQ(queue.quarantinedCount(), 1u);
+    std::size_t enqueues = 0;
+    for (const sweepio::QueueLogRecord &record : queue.readLog())
+        enqueues += record.op == "enqueue";
+    EXPECT_EQ(enqueues, 1u);
 }
 
 TEST(FaultQueue, InjectedClockSkewShiftsLeaseDeadlines)

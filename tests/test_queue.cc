@@ -2,11 +2,12 @@
  * @file Tests for the persistent work queue: claim mutual exclusion
  * under racing threads (the lease + atomic-rename protocol), FIFO
  * ordering, lease-expiry reclamation on a fake clock, torn-append log
- * recovery, double-completion idempotence, QueueBackend scheduling
- * through real worker loops, and the headline crash contract — a
- * coordinator killed mid-dispatch and restarted merges a result
- * byte-identical to the single-process run with no shard evaluated
- * twice.
+ * recovery, double-completion idempotence, dispatched sweeps served by
+ * external worker loops (retry, tenant/priority stamping, quota
+ * backpressure), and the headline crash contracts — a coordinator
+ * killed mid-dispatch and restarted merges a result byte-identical to
+ * the single-process run with no shard evaluated twice, and a restart
+ * leaves another sweep sharing the queue untouched.
  */
 
 #include <gtest/gtest.h>
@@ -22,17 +23,19 @@
 #include <thread>
 #include <vector>
 
-#include "dispatch/backend.hh"
 #include "dispatch/dispatcher.hh"
+#include "dispatch/process.hh"
 #include "dispatch/result_cache.hh"
-#include "queue/backend.hh"
 #include "queue/queue.hh"
+#include "queue/worker.hh"
+#include "shard_test_util.hh"
 #include "sweepio/codec.hh"
 #include "sweepio/queue_codec.hh"
 #include "sweepio/shard.hh"
 
 using namespace cfl;
 using namespace cfl::queue;
+using namespace cfl::test;
 namespace fs = std::filesystem;
 
 namespace
@@ -67,27 +70,36 @@ fakeNow()
     return g_fakeNowMs.load();
 }
 
-RunScale
-quickScale()
+/** The library worker loop on a thread of its own, standing in for a
+ *  confluence_worker daemon; stops (killing any running command) when
+ *  destroyed. */
+class WorkerThread
 {
-    RunScale scale;
-    scale.timingWarmupInsts = 800'000;
-    scale.timingMeasureInsts = 400'000;
-    scale.timingCores = 1;
-    return scale;
-}
+  public:
+    WorkerThread(WorkQueue &queue, const std::string &owner,
+                 dispatch::ResultCache *cache = nullptr)
+    {
+        WorkerOptions opts;
+        opts.owner = owner;
+        opts.pollMs = 2;
+        opts.cache = cache;
+        opts.quit = &quit_;
+        thread_ = std::thread([&queue, opts] { runWorker(queue, opts); });
+    }
 
-std::vector<SweepPoint>
-goldenPoints()
-{
-    std::vector<SweepPoint> points;
-    for (const FrontendKind kind :
-         {FrontendKind::Baseline, FrontendKind::Confluence})
-        for (const WorkloadId wl :
-             {WorkloadId::DssQry, WorkloadId::WebFrontend})
-            points.push_back({kind, wl, quickScale()});
-    return points;
-}
+    ~WorkerThread()
+    {
+        quit_ = true;
+        thread_.join();
+    }
+
+    WorkerThread(const WorkerThread &) = delete;
+    WorkerThread &operator=(const WorkerThread &) = delete;
+
+  private:
+    std::atomic<bool> quit_{false};
+    std::thread thread_;
+};
 
 } // namespace
 
@@ -527,8 +539,15 @@ TEST(WorkQueue, NoTenantStarvesWhileAnotherFloodsTheQueue)
         }
     }
 
+    // Each claim is recorded under the same lock that orders it, so the
+    // recorded order is the order the policy chose. Recording after
+    // complete() measured the scheduler instead: a thread descheduled
+    // between its claim and its record (common on a loaded sanitizer
+    // run) landed a small tenant's task far behind flood tasks claimed
+    // after it. Completions still race with claims, so the policy
+    // still sees other workers' claimed-but-unfinished tasks.
     std::mutex mutex;
-    std::vector<std::string> completion_order;
+    std::vector<std::string> claim_order;
     std::atomic<unsigned> completed{0};
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < 3; ++t) {
@@ -536,16 +555,18 @@ TEST(WorkQueue, NoTenantStarvesWhileAnotherFloodsTheQueue)
             WorkQueue queue(dir);
             const std::string owner = "w" + std::to_string(t);
             while (completed.load() < kTotal) {
-                auto claim = queue.claim(owner, 60);
+                std::optional<TaskClaim> claim;
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    claim = queue.claim(owner, 60);
+                    if (claim)
+                        claim_order.push_back(claim->task.id);
+                }
                 if (!claim) {
                     std::this_thread::yield();
                     continue;
                 }
                 queue.complete(*claim, 0);
-                {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    completion_order.push_back(claim->task.id);
-                }
                 ++completed;
             }
         });
@@ -553,15 +574,14 @@ TEST(WorkQueue, NoTenantStarvesWhileAnotherFloodsTheQueue)
     for (std::thread &t : threads)
         t.join();
 
-    ASSERT_EQ(completion_order.size(), kTotal);
+    ASSERT_EQ(claim_order.size(), kTotal);
     std::size_t last_small = 0;
-    for (std::size_t i = 0; i < completion_order.size(); ++i)
-        if (completion_order[i][0] != 'f')
+    for (std::size_t i = 0; i < claim_order.size(); ++i)
+        if (claim_order[i][0] != 'f')
             last_small = i;
-    // Round-robin across three equal tenants retires both small
-    // tenants within roughly the first third of completions; even with
-    // racing-thread skew they must land well inside the first half,
-    // not behind the flood's 24-task backlog.
+    // Round-robin across three equal tenants serves both small tenants
+    // within roughly the first third of claims; they must land well
+    // inside the first half, not behind the flood's 24-task backlog.
     EXPECT_LT(last_small, kTotal / 2)
         << "a small tenant starved behind the flooding tenant";
 }
@@ -698,173 +718,88 @@ TEST(WorkQueue, TornLogLinesAreSkippedAndSequencingSurvives)
 }
 
 // ---------------------------------------------------------------------------
-// Command-line flag extraction (queue-dir paths with spaces/quotes)
+// Dispatched sweeps served by external worker loops
 // ---------------------------------------------------------------------------
 
-TEST(WorkQueue, ShellExtractFlagValueUndoesShellQuoting)
+TEST(QueueDispatch, RetriesAFailedShardThroughAFreshTask)
 {
-    using dispatch::shellQuote;
-    EXPECT_EQ(shellExtractFlagValue("sweep --points a.jsonl --out b.jsonl",
-                                    "--out"),
-              "b.jsonl");
-    EXPECT_EQ(shellExtractFlagValue("sweep --points a.jsonl", "--out"),
-              "");
-    // The last occurrence wins, like the shell's own option parsing.
-    EXPECT_EQ(shellExtractFlagValue("run --out first --out second",
-                                    "--out"),
-              "second");
-    // shellQuote round trip, including spaces and embedded quotes —
-    // the shapes a queue dir like "/sweeps/run dir/it's" produces.
-    for (const std::string path :
-         {"/plain/path.jsonl", "/queue dir/with space.jsonl",
-          "/it's/a 'quoted' path.jsonl", "odd\"double\"quotes"}) {
-        const std::string command = "'/bin/confluence_sweep' --points " +
-                                    shellQuote("/spec dir/s.jsonl") +
-                                    " --out " + shellQuote(path);
-        EXPECT_EQ(shellExtractFlagValue(command, "--out"), path)
-            << command;
-        EXPECT_EQ(shellExtractFlagValue(command, "--points"),
-                  "/spec dir/s.jsonl");
+    const std::string dir = freshDir("dispatch_retry");
+    WorkQueue queue(dir);
+    const std::vector<SweepPoint> points = tinyGrid();
+
+    dispatch::DispatchOptions opts;
+    // A sweep stand-in whose first attempt at each shard fails.
+    opts.sweepBin = scriptedSweep(
+        dir, "[ -e \"$4.failed\" ] || { touch \"$4.failed\"; exit 9; }");
+    opts.shards = 2;
+    opts.pollMs = 5;
+    dispatch::DispatchStats stats;
+    SweepResult merged;
+    {
+        WorkerThread w1(queue, "w1"), w2(queue, "w2");
+        merged = dispatch::runDispatchedSweep(points, queue, opts, nullptr,
+                                              &stats);
     }
-    // A flag-shaped substring *inside* a quoted value must not count
-    // as an occurrence — a queue dir literally named "a --out b".
-    const std::string tricky =
-        "sweep --points " + shellQuote("/spec.jsonl") + " --out " +
-        shellQuote("/tmp/a --out b/work/shard0.out.jsonl");
-    EXPECT_EQ(shellExtractFlagValue(tricky, "--out"),
-              "/tmp/a --out b/work/shard0.out.jsonl");
-    EXPECT_EQ(shellExtractFlagValue(tricky, "--points"), "/spec.jsonl");
+    EXPECT_EQ(sweepio::encodeResult(merged), referenceBytes(points));
+    EXPECT_EQ(stats.attempts, 4u);
+    EXPECT_EQ(stats.retries, 2u);
+    // Both failed attempts left their done records behind.
+    std::size_t failed = 0;
+    for (const sweepio::QueueLogRecord &record : queue.readLog())
+        failed += record.op == "done" && record.done.exitCode == 9;
+    EXPECT_EQ(failed, 2u);
 }
 
-// ---------------------------------------------------------------------------
-// QueueBackend: the dispatcher's scheduling against real worker loops
-// ---------------------------------------------------------------------------
-
-namespace
+TEST(QueueDispatch, StampsTasksWithTenantAndPriorityAndHonorsQuota)
 {
+    const std::string dir = freshDir("dispatch_tenant");
+    WorkQueue queue(dir);
+    queue.setTenant("svc", 2, 1);
+    const std::vector<SweepPoint> points = tinyGrid();
 
-/** An in-process stand-in for confluence_worker: claims tasks and
- *  actually runs their commands through /bin/sh. */
-class WorkerLoop
-{
-  public:
-    WorkerLoop(const std::string &dir, std::string owner)
-        : queue_(dir), owner_(std::move(owner)),
-          thread_([this] { run(); })
+    dispatch::DispatchOptions opts;
+    opts.sweepBin = CFL_SWEEP_BIN;
+    opts.shards = 3;
+    opts.pollMs = 5;
+    opts.tenant = "svc";
+    opts.priority = 3;
+    SweepResult merged;
     {
+        WorkerThread w1(queue, "w1"), w2(queue, "w2");
+        merged = dispatch::runDispatchedSweep(points, queue, opts, nullptr,
+                                              nullptr);
     }
+    EXPECT_EQ(sweepio::encodeResult(merged), referenceBytes(points));
 
-    ~WorkerLoop()
-    {
-        stop_ = true;
-        thread_.join();
-    }
-
-  private:
-    void run()
-    {
-        while (!stop_) {
-            auto claim = queue_.claim(owner_, 60);
-            if (!claim) {
-                queue_.reclaimExpired();
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(2));
-                continue;
-            }
-            const dispatch::RunStatus status =
-                dispatch::runLocalCommand(claim->task.command, 0);
-            queue_.complete(*claim, status.exitCode);
+    // Every task carried the dispatch's tenant and priority, and the
+    // quota of one live task held throughout: the coordinator waited
+    // for each completion before submitting the next shard.
+    std::size_t enqueues = 0, live = 0, max_live = 0;
+    for (const sweepio::QueueLogRecord &record : queue.readLog()) {
+        if (record.op == "enqueue") {
+            ++enqueues;
+            EXPECT_EQ(record.task.tenant, "svc");
+            EXPECT_EQ(record.task.priority, 3);
+            max_live = std::max(max_live, ++live);
+        } else if (record.op == "done") {
+            --live;
         }
     }
+    EXPECT_EQ(enqueues, 3u);
+    EXPECT_EQ(max_live, 1u);
 
-    WorkQueue queue_;
-    std::string owner_;
-    std::atomic<bool> stop_{false};
-    std::thread thread_;
-};
-
-} // namespace
-
-TEST(QueueBackend, DispatchesRetriesAndReportsExitCodesThroughTheQueue)
-{
-    const std::string dir = freshDir("backend");
-    WorkQueue queue(dir);
-    QueueBackend::Options qopts;
-    qopts.slots = 3;
-    qopts.pollMs = 5;
-    QueueBackend backend(queue, qopts);
-    EXPECT_EQ(backend.workers(), 3u);
-
-    const std::string marker = dir + "/ran-once";
-    std::vector<dispatch::ShardJob> jobs;
-    jobs.push_back({0, "true"});
-    jobs.push_back({1, "exit 7"});
-    // Fails the first attempt, succeeds the second — the dispatcher's
-    // retry flows through a *fresh* queue task.
-    jobs.push_back({2,
-                    "test -e " + dispatch::shellQuote(marker) +
-                        " || { touch " + dispatch::shellQuote(marker) +
-                        "; exit 9; }"});
-
-    dispatch::RetryPolicy policy;
-    policy.maxAttempts = 2;
-
-    WorkerLoop w1(dir, "w1"), w2(dir, "w2");
-    const std::vector<dispatch::ShardRun> runs =
-        dispatchShards(backend, jobs, policy);
-
-    ASSERT_EQ(runs.size(), 3u);
-    EXPECT_TRUE(runs[0].ok);
-    EXPECT_FALSE(runs[1].ok);
-    EXPECT_EQ(runs[1].lastExit, 7);
-    EXPECT_EQ(runs[1].attempts, 2u);
-    EXPECT_TRUE(runs[2].ok);
-    EXPECT_EQ(runs[2].attempts, 2u);
-}
-
-TEST(QueueBackend, StampsTasksWithTenantAndPriorityAndHonorsQuota)
-{
-    const std::string dir = freshDir("backend_tenant");
-    WorkQueue queue(dir);
-    queue.setTenant("svc", 2, 4);
-
-    QueueBackend::Options qopts;
-    qopts.slots = 2;
-    qopts.pollMs = 5;
-    qopts.tenant = "svc";
-    qopts.priority = 3;
-    QueueBackend backend(queue, qopts);
-
-    {
-        WorkerLoop worker(dir, "w1");
-        const dispatch::RunStatus status = backend.run(0, "true", 30);
-        EXPECT_EQ(status.exitCode, 0);
-    }
-
-    // The submitted task carried the backend's tenant and priority all
-    // the way to its records.
-    bool saw_enqueue = false;
-    for (const sweepio::QueueLogRecord &record : queue.readLog()) {
-        if (record.op != "enqueue")
-            continue;
-        saw_enqueue = true;
-        EXPECT_EQ(record.task.tenant, "svc");
-        EXPECT_EQ(record.task.priority, 3);
-    }
-    EXPECT_TRUE(saw_enqueue);
-
-    // And the quota wait path gives up at the timeout instead of
-    // overflowing: with no worker left, saturating the quota pins the
+    // And the quota wait counts against the attempt's timeout instead
+    // of overflowing: with no worker left, a filler task pins the
     // tenant at its cap for the whole wait.
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(queue.tryEnqueue(
-            makeTenantTask("fill" + std::to_string(i), "svc", -1)));
-    const auto t0 = std::chrono::steady_clock::now();
-    const dispatch::RunStatus blocked = backend.run(0, "true", 1);
-    EXPECT_TRUE(blocked.timedOut);
-    EXPECT_GE(std::chrono::steady_clock::now() - t0,
-              std::chrono::milliseconds(900));
-    queue.cancelPending();
+    queue.enqueue(makeTenantTask("filler", "svc", -1));
+    opts.retry.timeoutSec = 1;
+    opts.retry.maxAttempts = 1;
+    EXPECT_EXIT(dispatch::runDispatchedSweep(tinyGrid(WorkloadId::OltpDb2),
+                                             queue, opts, nullptr, nullptr),
+                ::testing::ExitedWithCode(1),
+                "at its submission quota.*failed after 1 "
+                "attempt\\(s\\) \\(last exit 137, timed out\\)");
+    EXPECT_EQ(queue.liveCount("svc"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -872,178 +807,124 @@ TEST(QueueBackend, StampsTasksWithTenantAndPriorityAndHonorsQuota)
 // byte-identical merge, no shard evaluated twice.
 // ---------------------------------------------------------------------------
 
-namespace
-{
-
-/**
- * An in-process confluence_worker that *evaluates* sweep shards: it
- * parses the spec/result paths out of the claimed command, runs the
- * shard on the real engine, appends outcomes to the shared result
- * cache (its own cache instance, like a separate process), and
- * completes. Counts every evaluated point so the test can prove no
- * point ran twice across the kill/resume boundary.
- */
-class SweepWorker
-{
-  public:
-    SweepWorker(const std::string &dir, const std::string &cache_store,
-                std::atomic<std::size_t> &evaluated)
-        : queue_(dir), cache_(cache_store, "v1"), evaluated_(evaluated)
-    {
-    }
-
-    /** Claim and evaluate at most one task; false when none pending. */
-    bool evaluateOne()
-    {
-        auto claim = queue_.claim("sweep-worker", 600);
-        if (!claim)
-            return false;
-        evaluate(*claim);
-        return true;
-    }
-
-    void startDraining()
-    {
-        thread_ = std::thread([this] {
-            while (!stop_) {
-                auto claim = queue_.claim("sweep-worker", 600);
-                if (!claim) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(2));
-                    continue;
-                }
-                evaluate(*claim);
-            }
-        });
-    }
-
-    void stopDraining()
-    {
-        stop_ = true;
-        if (thread_.joinable())
-            thread_.join();
-    }
-
-    ~SweepWorker() { stopDraining(); }
-
-  private:
-    void evaluate(TaskClaim &claim)
-    {
-        const std::string spec =
-            shellExtractFlagValue(claim.task.command, "--points");
-        const std::vector<SweepPoint> points =
-            sweepio::readPoints(spec);
-        const SystemConfig config =
-            makeSystemConfig(points.front().scale.timingCores);
-        SweepEngine engine(1);
-        const SweepResult result =
-            runTimingSweep(points, config, engine);
-        sweepio::writeResult(claim.task.result, result);
-        // Cache before completing: once a task reads as done, its
-        // outcomes are durable — the property the resumed coordinator
-        // relies on.
-        for (const SweepOutcome &o : result.points)
-            cache_.insert(o);
-        cache_.flush();
-        evaluated_ += result.points.size();
-        queue_.complete(claim, 0);
-    }
-
-    WorkQueue queue_;
-    dispatch::ResultCache cache_;
-    std::atomic<std::size_t> &evaluated_;
-    std::atomic<bool> stop_{false};
-    std::thread thread_;
-};
-
-} // namespace
-
 TEST(QueueDispatch, KilledCoordinatorResumesByteIdenticalWithoutRework)
 {
     const std::string dir = freshDir("resume");
     const std::string store = dir + "-cache.jsonl";
-    fs::remove(store.c_str());
-    const std::string work = dir + "/work";
-
-    const std::vector<SweepPoint> points = goldenPoints();
-    const SystemConfig config = makeSystemConfig(1);
-
-    // The single-process reference everything must match byte for byte.
-    SweepEngine engine(2);
-    const SweepResult reference =
-        runTimingSweep(points, config, engine);
-
-    std::atomic<std::size_t> evaluated{0};
+    fs::remove(store);
+    const std::vector<SweepPoint> points = tinyGrid();
+    const std::string key = dispatch::sweepKey(points);
+    const std::string work = dir + "/work/" + key;
 
     // --- Coordinator #1, killed mid-dispatch -------------------------
-    // Reconstruct exactly what a SIGKILLed `confluence_dispatch
-    // --backend queue` leaves behind: both shard tasks enqueued, the
-    // first completed by a worker (its outcomes already durable in the
-    // shared cache), the second still pending, and no merged output
-    // written.
-    {
-        WorkQueue queue(dir);
-        fs::create_directories(work);
-        for (unsigned shard = 0; shard < 2; ++shard) {
-            const std::string spec =
-                work + "/shard" + std::to_string(shard) + ".spec.jsonl";
-            const std::string result = work + "/shard" +
-                                       std::to_string(shard) +
-                                       ".result.jsonl";
-            sweepio::writePoints(
-                spec, sweepio::shardPoints(points, shard, 2));
-            sweepio::TaskRecord task;
-            task.id = "run1-shard" + std::to_string(shard);
-            task.command = "confluence_sweep --points " +
-                           dispatch::shellQuote(spec) + " --out " +
-                           dispatch::shellQuote(result);
-            task.result = result;
-            queue.enqueue(task);
-        }
-        SweepWorker worker(dir, store, evaluated);
-        ASSERT_TRUE(worker.evaluateOne()); // shard 0 completes...
-        ASSERT_EQ(queue.pendingCount(), 1u); // ...shard 1 never runs
-        ASSERT_EQ(evaluated.load(), 2u);
+    // Reconstruct exactly what a SIGKILLed coordinator leaves behind:
+    // both shard tasks enqueued under the sweep's key, the first
+    // completed by a worker (its outcomes already durable in the shared
+    // cache), the second still pending, and no merged output written.
+    WorkQueue queue(dir);
+    fs::create_directories(work);
+    for (unsigned shard = 0; shard < 2; ++shard) {
+        const std::string stem = work + "/shard" + std::to_string(shard);
+        sweepio::writePoints(stem + ".spec.jsonl",
+                             sweepio::shardPoints(points, shard, 2));
+        sweepio::TaskRecord task;
+        task.id = key + "-deadbeef-s" + std::to_string(shard) + "-a1";
+        task.command = dispatch::shellQuote(CFL_SWEEP_BIN) + " --points " +
+                       dispatch::shellQuote(stem + ".spec.jsonl") +
+                       " --out " +
+                       dispatch::shellQuote(stem + ".result.jsonl");
+        task.result = stem + ".result.jsonl";
+        queue.enqueue(task);
     }
+    {
+        dispatch::ResultCache cache(store, "v1");
+        WorkerOptions one;
+        one.owner = "doomed-run-worker";
+        one.maxTasks = 1;
+        one.cache = &cache;
+        ASSERT_EQ(runWorker(queue, one), 1u); // shard 0 completes...
+    }
+    ASSERT_EQ(queue.pendingCount(), 1u); // ...shard 1 never runs
 
     // --- Coordinator #2: reconcile, then dispatch the remainder ------
-    WorkQueue queue(dir);
-    queue.cancelPending(); // the stale task; its points re-partition
-    ASSERT_EQ(queue.claimedCount(), 0u); // nothing in flight to await
-
+    dispatch::reconcileSweep(queue, key); // cancels the stale task
+    ASSERT_EQ(queue.pendingCount(), 0u);
     // The cache opens *after* reconcile, so it sees the dead run's
-    // completed shard.
+    // completed shard; the workers share it with the coordinator.
     dispatch::ResultCache cache(store, "v1");
-    QueueBackend::Options qopts;
-    qopts.slots = 2;
-    qopts.pollMs = 5;
-    QueueBackend backend(queue, qopts);
-
     dispatch::DispatchOptions opts;
-    opts.sweepBin = "confluence_sweep"; // never executed: SweepWorker
-                                        // evaluates in-process
-    opts.workDir = work;
-    opts.cacheWriteBack = false; // queue mode: workers own the cache
-
-    SweepWorker worker(dir, store, evaluated);
-    worker.startDraining();
+    opts.sweepBin = CFL_SWEEP_BIN;
+    opts.shards = 2;
+    opts.pollMs = 5;
     dispatch::DispatchStats stats;
-    const SweepResult merged = dispatch::runDispatchedSweep(
-        points, backend, opts, &cache, &stats);
-    worker.stopDraining();
+    SweepResult merged;
+    {
+        WorkerThread worker(queue, "w1", &cache);
+        merged = dispatch::runDispatchedSweep(points, queue, opts, &cache,
+                                              &stats);
+    }
 
     // Byte-identical to the single-process run...
-    EXPECT_EQ(sweepio::encodeResult(merged),
-              sweepio::encodeResult(reference));
+    EXPECT_EQ(sweepio::encodeResult(merged), referenceBytes(points));
     // ...with the dead coordinator's work served from the cache...
     EXPECT_EQ(stats.cachedPoints, 2u);
     EXPECT_EQ(stats.evaluatedPoints, 2u);
     // ...and no point evaluated twice across the kill/resume boundary:
-    // 4 points, 4 evaluations, 4 store lines.
-    EXPECT_EQ(evaluated.load(), points.size());
+    // 4 points, 4 store lines.
     std::size_t store_lines = 0;
     std::ifstream in(store);
     for (std::string line; std::getline(in, line);)
         store_lines += !line.empty();
     EXPECT_EQ(store_lines, points.size());
+}
+
+TEST(QueueDispatch, RestartedCoordinatorLeavesAnotherSweepAlone)
+{
+    // Two sweeps share one queue. Sweep B's coordinator restarts while
+    // sweep A's shards sit pending: B's start-up cleanup must cancel
+    // only B's stale task, and the two sweeps' shard files must not
+    // collide even though both have a "shard0".
+    const std::string dir = freshDir("shared");
+    WorkQueue queue(dir);
+    const std::vector<SweepPoint> points_a = tinyGrid();
+    const std::vector<SweepPoint> points_b =
+        tinyGrid(WorkloadId::OltpDb2, WorkloadId::MediaStreaming);
+    const std::string key_b = dispatch::sweepKey(points_b);
+    ASSERT_NE(dispatch::sweepKey(points_a), key_b);
+
+    // What B's dead first incarnation left: one pending task.
+    sweepio::TaskRecord stale;
+    stale.id = key_b + "-deadbeef-s0-a1";
+    stale.command = "exit 1";
+    queue.enqueue(stale);
+
+    dispatch::DispatchOptions opts;
+    opts.sweepBin = CFL_SWEEP_BIN;
+    opts.shards = 2;
+    opts.pollMs = 5;
+    // A's coordinator gives up on (and retries) a cancelled task after
+    // this long instead of waiting forever; its retry count shows it.
+    dispatch::DispatchOptions opts_a = opts;
+    opts_a.retry.timeoutSec = 30;
+    dispatch::DispatchStats stats_a;
+    SweepResult merged_a;
+    std::thread coordinator_a([&] {
+        merged_a = dispatch::runDispatchedSweep(points_a, queue, opts_a,
+                                                nullptr, &stats_a);
+    });
+    while (queue.pendingCount() < 3)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+    dispatch::reconcileSweep(queue, key_b);
+    EXPECT_EQ(queue.pendingCount(), 2u); // A's shards survive
+    SweepResult merged_b;
+    {
+        WorkerThread w1(queue, "w1"), w2(queue, "w2");
+        merged_b = dispatch::runDispatchedSweep(points_b, queue, opts,
+                                                nullptr, nullptr);
+        coordinator_a.join();
+    }
+    EXPECT_EQ(sweepio::encodeResult(merged_a), referenceBytes(points_a));
+    EXPECT_EQ(sweepio::encodeResult(merged_b), referenceBytes(points_b));
+    EXPECT_EQ(stats_a.retries, 0u);
 }

@@ -37,7 +37,7 @@
  *   confluence_chaos --points spec.jsonl --ref ref.jsonl
  *       --dispatch-bin PATH --worker-bin PATH [--sweep-bin PATH]
  *       [--schedules N] [--seed S] [--work-dir DIR] [--workers N]
- *       [--slots N] [--shards N] [--rate F] [--lease SEC]
+ *       [--shards N] [--rate F] [--lease SEC]
  *       [--max-restarts N] [--timeout SEC] [--keep]
  *     Run N schedules (seeds S..S+N-1), then auto-replay one fired
  *     schedule to prove plans reproduce their fault sequence exactly.
@@ -102,7 +102,7 @@ usage(const char *argv0)
         "  %s --points spec.jsonl --ref ref.jsonl\n"
         "     --dispatch-bin PATH --worker-bin PATH [--sweep-bin PATH]\n"
         "     [--schedules N] [--seed S] [--work-dir DIR] [--workers N]\n"
-        "     [--slots N] [--shards N] [--rate F] [--lease SEC]\n"
+        "     [--shards N] [--rate F] [--lease SEC]\n"
         "     [--max-restarts N] [--timeout SEC] [--replay SEED] "
         "[--keep]\n"
         "     [--status-out FILE]\n"
@@ -161,7 +161,6 @@ struct ChaosOptions
     unsigned schedules = 100;
     std::uint64_t seed = 1;
     unsigned workers = 2;
-    unsigned slots = 4;
     unsigned shards = 4;
     double rate = 0.05;
     unsigned leaseSec = 2;
@@ -350,9 +349,10 @@ class ScheduleRunner
 {
   public:
     ScheduleRunner(const ChaosOptions &opts, std::uint64_t sched_seed,
-                   std::string dir, unsigned worker_count, unsigned slots)
+                   std::string dir, unsigned worker_count,
+                   bool serial = false)
         : opts_(opts), seed_(sched_seed), dir_(std::move(dir)),
-          workerCount_(worker_count), slots_(slots),
+          workerCount_(worker_count), serial_(serial),
           kinds_(scheduleKinds(sched_seed)),
           rate_(scheduleRate(sched_seed, opts.rate))
     {
@@ -370,6 +370,7 @@ class ScheduleRunner
     std::string coordinatorCmd(unsigned attempt) const;
     void superviseWorkers(std::vector<WorkerSlot> &fleet);
     void killWorkers(std::vector<WorkerSlot> &fleet);
+    void quiesce(std::vector<WorkerSlot> &fleet);
     bool drainQueue(std::string *why);
     bool cleanVerify(const std::string &ref_bytes, bool expect_no_eval,
                      std::string *why);
@@ -377,7 +378,8 @@ class ScheduleRunner
     const ChaosOptions &opts_;
     std::uint64_t seed_;
     std::string dir_;
-    unsigned workerCount_, slots_;
+    unsigned workerCount_;
+    bool serial_;
     std::vector<fault::Kind> kinds_;
     double rate_;
     unsigned respawns_ = 0;
@@ -410,12 +412,11 @@ ScheduleRunner::coordinatorCmd(unsigned attempt) const
     return "exec env 'CONFLUENCE_FAULT_PLAN=" + plan + "' '" +
            opts_.dispatchBin + "' --points '" + opts_.specPath +
            "' --out '" + dir_ + "/merged.jsonl' --backend queue " +
-           "--queue-dir '" + dir_ + "/queue' --workers " +
-           std::to_string(slots_) + " --shards " +
+           "--queue-dir '" + dir_ + "/queue' --shards " +
            std::to_string(opts_.shards) + " --sweep-bin '" +
            opts_.sweepBin + "' --cache '" + dir_ + "/cache.jsonl' " +
-           "--work-dir '" + dir_ + "/work' --timeout 20 --retries 4 " +
-           "--backoff-ms 25 >> '" + dir_ + "/coordinator.log' 2>&1";
+           "--work-dir '" + dir_ + "/work' --timeout 20 --retries 4 >> '" +
+           dir_ + "/coordinator.log' 2>&1";
 }
 
 void
@@ -453,6 +454,27 @@ ScheduleRunner::killWorkers(std::vector<WorkerSlot> &fleet)
     }
 }
 
+/**
+ * Let the workers finish what a dead coordinator left in the queue.
+ * Otherwise the restarted coordinator cancels leftover pending tasks
+ * while a worker may be claiming them, and which side wins — and so
+ * which fault sites each process hits — is a race between processes.
+ */
+void
+ScheduleRunner::quiesce(std::vector<WorkerSlot> &fleet)
+{
+    queue::WorkQueue queue(dir_ + "/queue");
+    using Clock = std::chrono::steady_clock;
+    const auto deadline =
+        Clock::now() + std::chrono::seconds(
+                           std::max(10u, 4 * opts_.leaseSec + 6));
+    while ((queue.pendingCount() != 0 || queue.claimedCount() != 0) &&
+           Clock::now() < deadline) {
+        superviseWorkers(fleet);
+        std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    }
+}
+
 bool
 ScheduleRunner::drainQueue(std::string *why)
 {
@@ -475,17 +497,7 @@ ScheduleRunner::drainQueue(std::string *why)
     }
     // Leftover pending tasks (enqueued by a coordinator attempt that
     // died, or re-pended just now) must all be cancellable.
-    for (const auto &entry :
-         fs::directory_iterator(dir_ + "/queue/pending")) {
-        std::string name = entry.path().filename().string();
-        if (name.size() < 6 || name.substr(name.size() - 5) != ".task")
-            continue;
-        name.resize(name.size() - 5);
-        const std::size_t dash = name.find('-');
-        if (dash == std::string::npos)
-            continue;
-        queue.cancelTask(name.substr(dash + 1));
-    }
+    queue.cancelPending();
     if (queue.pendingCount() != 0) {
         *why = "queue wedged: " + std::to_string(queue.pendingCount()) +
                " pending task(s) resisted cancellation";
@@ -586,6 +598,8 @@ ScheduleRunner::run()
             result.outcome = "quarantined";
             break;
         }
+        if (serial_)
+            quiesce(fleet);
     }
 
     killWorkers(fleet);
@@ -642,9 +656,9 @@ ScheduleRunner::run()
 /** Run one schedule; prints its one-line verdict. */
 ScheduleResult
 runSchedule(const ChaosOptions &opts, std::uint64_t sched_seed,
-            const std::string &dir, unsigned workers, unsigned slots)
+            const std::string &dir, unsigned workers)
 {
-    ScheduleRunner runner(opts, sched_seed, dir, workers, slots);
+    ScheduleRunner runner(opts, sched_seed, dir, workers);
     ScheduleResult result = runner.run();
     if (!opts.statusOut.empty()) {
         // Post-mortem queue snapshot, before the schedule dir is torn
@@ -680,8 +694,9 @@ runSchedule(const ChaosOptions &opts, std::uint64_t sched_seed,
 
 /**
  * Replay schedule @p sched_seed twice in a serial configuration (one
- * worker, one slot — no cross-process races over claim order) and
- * assert both runs fire the byte-identical fault sequence per process.
+ * worker, and a dead coordinator's leftovers drained before its
+ * restart — no cross-process races over claim order) and assert both
+ * runs fire the byte-identical fault sequence per process.
  */
 bool
 runReplay(const ChaosOptions &opts, std::uint64_t sched_seed)
@@ -692,7 +707,7 @@ runReplay(const ChaosOptions &opts, std::uint64_t sched_seed)
                                 std::to_string(sched_seed) +
                                 (pass == 0 ? "-a" : "-b");
         fs::remove_all(dir);
-        ScheduleRunner runner(opts, sched_seed, dir, 1, 1);
+        ScheduleRunner runner(opts, sched_seed, dir, 1, true);
         const ScheduleResult result = runner.run();
         if (result.outcome == "FAILED") {
             std::printf("chaos replay seed=%llu pass=%d outcome=FAILED "
@@ -790,8 +805,6 @@ main(int argc, char **argv)
             opts.seed = std::strtoull(value().c_str(), nullptr, 10);
         else if (arg == "--workers")
             opts.workers = parseUnsignedFlag(arg, value());
-        else if (arg == "--slots")
-            opts.slots = parseUnsignedFlag(arg, value());
         else if (arg == "--shards")
             opts.shards = parseUnsignedFlag(arg, value());
         else if (arg == "--rate")
@@ -821,9 +834,8 @@ main(int argc, char **argv)
     if (opts.specPath.empty() || opts.refPath.empty() ||
         opts.dispatchBin.empty() || opts.workerBin.empty())
         usage(argv[0]);
-    if (opts.workers == 0 || opts.slots == 0 || opts.shards == 0 ||
-        opts.leaseSec == 0)
-        cfl_fatal("--workers/--slots/--shards/--lease must be >= 1");
+    if (opts.workers == 0 || opts.shards == 0 || opts.leaseSec == 0)
+        cfl_fatal("--workers/--shards/--lease must be >= 1");
 
     // The driver itself must run fault-free: children get their plans
     // via explicit env prefixes, never by inheritance.
@@ -866,7 +878,7 @@ main(int argc, char **argv)
             opts.workDir + "/s" + std::to_string(s);
         fs::remove_all(dir);
         const ScheduleResult result =
-            runSchedule(opts, s, dir, opts.workers, opts.slots);
+            runSchedule(opts, s, dir, opts.workers);
         if (result.outcome == "ok")
             ++ok;
         else if (result.outcome == "quarantined")

@@ -2,15 +2,13 @@
  * @file
  * Fault-tolerant sweep dispatcher CLI.
  *
- * Takes a sweep spec (the same JSONL confluence_sweep emits), partitions
- * it into shards, and drives one `confluence_sweep --points` process per
- * shard through a worker backend — a local subprocess pool, or a fleet
- * of ssh hosts — with per-shard timeout, bounded retry, and worker
- * exclusion. Completed outcomes land in a content-addressed result
- * cache keyed on (point, seed base, code version), so re-dispatching a
- * sweep only evaluates points whose key changed; the merged output is
- * byte-identical to the single-process `confluence_sweep --points` run
- * either way.
+ * Takes a sweep spec (the same JSONL confluence_sweep emits), serves
+ * what it can from a content-addressed result cache keyed on (point,
+ * seed base, code version), partitions the rest into shards, and runs
+ * one `confluence_sweep --points` task per shard through a persistent
+ * work queue (src/queue) with per-attempt timeout and bounded retry.
+ * The merged output is byte-identical to the single-process
+ * `confluence_sweep --points` run either way.
  *
  * Modes (one per invocation):
  *
@@ -19,31 +17,48 @@
  *       [--remote-dir DIR] [--queue-dir DIR] [--queue-name NAME]
  *       [--tenant ID] [--priority N] [--tenant-weight W]
  *       [--tenant-quota Q] [--shards M]
- *       [--timeout SEC] [--retries K] [--backoff-ms MS]
+ *       [--timeout SEC] [--retries K]
  *       [--sweep-bin PATH] [--cache FILE | --no-cache]
  *       [--code-version TAG] [--work-dir DIR]
- *     Dispatch the spec and write the merged result. Failed shards
- *     retry after a capped exponential backoff with deterministic
- *     jitter (--backoff-ms sets the first-retry delay; 0 disables).
+ *     Dispatch the spec and write the merged result. The backends
+ *     differ only in who supplies the queue's workers:
+ *       local  a private queue in --work-dir (default <out>.work),
+ *              served by --workers N (default 2) threads of this
+ *              process; none outlives the dispatch. Default shards:
+ *              one per thread.
+ *       ssh    one confluence_worker (the binary next to this one) per
+ *              --hosts entry, started over ssh (BatchMode, in
+ *              --remote-dir) on --queue-dir, which every host must see
+ *              at the same path, as must the cache and sweep binary;
+ *              the stop marker ends them after the dispatch. Default
+ *              shards: one per host.
+ *       queue  external confluence_worker daemons already serving
+ *              --queue-dir (default $CONFLUENCE_QUEUE_DIR). Default
+ *              shards: 2.
+ *     --work-dir holds the shard spec/result files of the ssh and
+ *     queue backends (default <queue>/work/<sweep key>), which every
+ *     worker must see.
+ *     A failed attempt is re-enqueued as a fresh task up to --retries
+ *     times; exit 3 (corrupt shard input) and 6 (task quarantined as
+ *     poison) are never retried. Workers store each shard's outcomes
+ *     in the cache before marking it done, so the coordinator is
+ *     restartable: before dispatching it reconciles the queue —
+ *     cancels the unclaimed tasks a dead predecessor of the *same*
+ *     sweep left and waits out its claimed ones — and a SIGKILLed
+ *     coordinator can simply be rerun to produce the same merged bytes
+ *     without re-evaluating a single shard. Tasks and shard files are
+ *     keyed by a digest of the point list, so coordinators of
+ *     different sweeps can share one queue.
  *     Prints one machine-readable stats line to stdout:
  *       dispatch total_points=.. cache_hits=.. cache_misses=..
- *                evaluated_points=.. shards=.. retries=..
- *                attempts=.. backoff_ms=..
- *     --backend queue enqueues cache-miss shards into a persistent
- *     work queue (src/queue; --queue-dir, default $CONFLUENCE_QUEUE_DIR)
- *     that confluence_worker daemons pull from. The coordinator is
- *     restartable: before dispatching it reconciles the queue —
- *     cancels unclaimed tasks from a dead predecessor and waits out
- *     claimed ones (their outcomes land in the result cache) — so a
- *     SIGKILLed coordinator can simply be rerun and produces the same
- *     merged bytes without re-evaluating a single shard.
+ *                evaluated_points=.. shards=.. retries=.. attempts=..
  *     --queue-name targets a named sub-queue; --tenant / --priority
  *     tag the submitted tasks for the queue's fair-share claim policy
  *     (priority first, then weighted round-robin across tenants, then
  *     FIFO); --tenant-weight / --tenant-quota record the tenant's
- *     scheduling config in the queue before dispatching. After a
- *     queue dispatch the coordinator reports its cache hit/miss
- *     counters into the queue's stats.jsonl for --queue-status.
+ *     scheduling config in the queue before dispatching. After the
+ *     dispatch the coordinator reports its cache hit/miss counters
+ *     into the queue's stats.jsonl for --queue-status.
  *
  *   confluence_dispatch --queue-status [--queue-dir DIR]
  *       [--queue-name NAME] [--serve SEC] [--serve-max N]
@@ -70,11 +85,12 @@
  *   CONFLUENCE_FAULT_PLAN  the unified fault-injection framework
  *       (fault/fault.hh): a seeded, site-indexed schedule of injected
  *       failures, honored by every instrumented site in this process.
- *       CI pins "dispatch.spawn@1:eio" to force one shard retry, and
- *       (queue backend) "queue.backend.completion@0:kill" to kill this
- *       coordinator the moment the first task completion is observed
- *       — the crash the queue-sweep job restarts from.
- *   CONFLUENCE_QUEUE_DIR  default --queue-dir for the queue backend.
+ *       CI pins "dispatch.spawn@1:eio" (local backend) to fail the
+ *       second shard spawn and force one retry, and
+ *       "queue.backend.completion@0:kill" to kill this coordinator the
+ *       moment the first task completion is observed — the crash the
+ *       queue-sweep job restarts from.
+ *   CONFLUENCE_QUEUE_DIR  default --queue-dir (ssh and queue backends).
  *   CONFLUENCE_QUARANTINE_AFTER  queue quarantine strike budget.
  *   CONFLUENCE_CACHE_DIR / CONFLUENCE_CODE_VERSION  default cache
  *       location and cache key code-version tag (see --cache /
@@ -82,8 +98,7 @@
  *
  * Exit codes: 0 success, 1 fatal error (bad configuration, shard
  * exhausted its retries), 2 usage, 5 regression threshold exceeded;
- * 137 (SIGKILL) when a pinned kill fault fires. A shard whose queue
- * task is quarantined as poison surfaces exit 6 and is not retried.
+ * 137 (SIGKILL) when a pinned kill fault fires.
  */
 
 #include <cerrno>
@@ -98,11 +113,10 @@
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "dispatch/backend.hh"
 #include "dispatch/dispatcher.hh"
 #include "dispatch/history.hh"
+#include "dispatch/process.hh"
 #include "dispatch/result_cache.hh"
-#include "queue/backend.hh"
 #include "queue/queue.hh"
 #include "sweepio/codec.hh"
 
@@ -126,7 +140,7 @@ usage(const char *argv0)
         "     [--queue-name NAME] [--tenant ID] [--priority N]\n"
         "     [--tenant-weight W] [--tenant-quota Q]\n"
         "     [--shards M] [--timeout SEC] [--retries K]\n"
-        "     [--backoff-ms MS] [--sweep-bin PATH]\n"
+        "     [--sweep-bin PATH]\n"
         "     [--cache FILE | --no-cache]\n"
         "     [--code-version TAG] [--work-dir DIR]\n"
         "  %s --queue-status [--queue-dir DIR] [--queue-name NAME]\n"
@@ -165,15 +179,15 @@ parseDouble(const std::string &flag, const std::string &text)
     return v;
 }
 
-/** confluence_sweep next to this binary, falling back to $PATH. */
+/** Tool @p name next to this binary, falling back to $PATH. */
 std::string
-defaultSweepBin(const char *argv0)
+siblingBin(const char *argv0, const std::string &name)
 {
     const std::string self = argv0;
     const std::size_t slash = self.rfind('/');
     if (slash == std::string::npos)
-        return "confluence_sweep";
-    return self.substr(0, slash + 1) + "confluence_sweep";
+        return name;
+    return self.substr(0, slash + 1) + name;
 }
 
 int
@@ -289,34 +303,29 @@ queueStatusMode(const std::string &queue_dir,
 }
 
 /**
- * Bring a queue left behind by a dead coordinator back to a clean
- * slate before dispatching into it: cancel every unclaimed task (this
- * coordinator will re-partition whatever is still missing from the
- * cache), then wait for claimed tasks to finish or expire — their
- * workers fold completed outcomes into the result cache, so the cache
- * opened *after* this returns sees all surviving work. Reclaimed
- * expired tasks are cancelled too, not rerun: their points are simply
- * cache misses for the fresh dispatch.
+ * Start `@p worker_cmd --owner <host>` on every host over ssh, in
+ * @p remote_dir. Each returned thread waits on one ssh client; the
+ * remote worker exits when the queue's stop marker appears.
  */
-void
-reconcileQueue(queue::WorkQueue &wq)
+std::vector<std::thread>
+startRemoteWorkers(const std::vector<std::string> &hosts,
+                   const std::string &remote_dir,
+                   const std::string &worker_cmd)
 {
-    std::size_t cancelled = wq.cancelPending();
-    while (true) {
-        wq.reclaimExpired();
-        cancelled += wq.cancelPending();
-        const std::size_t claimed = wq.claimedCount();
-        if (claimed == 0)
-            break;
-        std::fprintf(stderr,
-                     "reconcile: waiting for %zu in-flight task(s) "
-                     "from a previous coordinator\n", claimed);
-        std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    std::vector<std::thread> fleet;
+    for (const std::string &host : hosts) {
+        const std::string ssh = dispatch::sshWrapCommand(
+            host, remote_dir,
+            worker_cmd + " --owner " + dispatch::shellQuote(host));
+        fleet.emplace_back([host, ssh] {
+            const dispatch::RunStatus status =
+                dispatch::runLocalCommand(ssh, 0);
+            if (!status.ok())
+                cfl_warn("remote worker on %s exited %d", host.c_str(),
+                         status.exitCode);
+        });
     }
-    if (cancelled != 0)
-        std::fprintf(stderr,
-                     "reconcile: cancelled %zu stale pending task(s)\n",
-                     cancelled);
+    return fleet;
 }
 
 } // namespace
@@ -327,6 +336,7 @@ main(int argc, char **argv)
     std::string points_path, out_path;
     std::string backend_name = "local";
     unsigned workers = 2;
+    bool workers_set = false;
     std::string hosts_list, remote_dir;
     std::string queue_dir = queue::WorkQueue::defaultDir();
     std::string queue_name, tenant;
@@ -337,8 +347,7 @@ main(int argc, char **argv)
     unsigned serve_sec = 0, serve_max = 0;
     bool stop_workers = false;
     unsigned shards = 0, timeout_sec = 0, retries = 2;
-    unsigned backoff_ms = 100;
-    std::string sweep_bin = defaultSweepBin(argv[0]);
+    std::string sweep_bin = siblingBin(argv[0], "confluence_sweep");
     std::string cache_path = dispatch::ResultCache::defaultStorePath();
     std::string code_version =
         dispatch::ResultCache::defaultCodeVersion();
@@ -361,9 +370,10 @@ main(int argc, char **argv)
             out_path = value();
         else if (arg == "--backend")
             backend_name = value();
-        else if (arg == "--workers")
+        else if (arg == "--workers") {
             workers = parseUnsignedFlag(arg, value());
-        else if (arg == "--hosts")
+            workers_set = true;
+        } else if (arg == "--hosts")
             hosts_list = value();
         else if (arg == "--remote-dir")
             remote_dir = value();
@@ -395,8 +405,6 @@ main(int argc, char **argv)
             timeout_sec = parseUnsignedFlag(arg, value());
         else if (arg == "--retries")
             retries = parseUnsignedFlag(arg, value());
-        else if (arg == "--backoff-ms")
-            backoff_ms = parseUnsignedFlag(arg, value());
         else if (arg == "--sweep-bin")
             sweep_bin = value();
         else if (arg == "--cache")
@@ -443,106 +451,110 @@ main(int argc, char **argv)
     if (points_path.empty() || out_path.empty())
         usage(argv[0]);
 
-    std::unique_ptr<queue::WorkQueue> wq;
-    std::unique_ptr<dispatch::WorkerBackend> backend;
-    if (backend_name == "local") {
-        if (workers == 0)
-            cfl_fatal("--workers must be >= 1");
-        backend = std::make_unique<dispatch::LocalBackend>(workers);
-    } else if (backend_name == "ssh") {
-        if (hosts_list.empty())
-            cfl_fatal("--backend ssh needs --hosts h1,h2,..");
-        backend = std::make_unique<dispatch::SshBackend>(
-            splitList(hosts_list), remote_dir);
-    } else if (backend_name == "queue") {
-        if (workers == 0)
-            cfl_fatal("--workers must be >= 1");
-        wq = std::make_unique<queue::WorkQueue>(queue_dir, queue_name);
-        // A stale stop marker from a drained earlier run would make
-        // fresh workers exit mid-dispatch; this run wants them alive.
-        wq->clearStop();
-        // Reconcile *before* the cache loads below, so every outcome a
-        // previous coordinator's in-flight tasks produce is visible to
-        // this run's cache lookups.
-        reconcileQueue(*wq);
-        // Record this tenant's scheduling config before submitting
-        // under it; unspecified fields keep their recorded values.
-        if (tenant_weight_set || tenant_quota_set) {
-            const std::string effective =
-                tenant.empty() ? "default" : tenant;
-            sweepio::TenantRecord config =
-                wq->tenantConfig(effective);
-            if (tenant_weight_set)
-                config.weight = tenant_weight;
-            if (tenant_quota_set)
-                config.quota = tenant_quota;
-            wq->setTenant(effective, config.weight, config.quota);
-        }
-        queue::QueueBackend::Options qopts;
-        qopts.slots = workers;
-        qopts.tenant = tenant;
-        qopts.priority = priority;
-        backend = std::make_unique<queue::QueueBackend>(*wq, qopts);
-    } else {
+    if (backend_name != "local" && backend_name != "ssh" &&
+        backend_name != "queue")
         cfl_fatal("unknown backend \"%s\" (local|ssh|queue)",
                   backend_name.c_str());
+    if (backend_name == "local" && workers == 0)
+        cfl_fatal("--workers must be >= 1");
+    if (backend_name != "local" && workers_set)
+        cfl_fatal("--workers applies to --backend local only: the %s "
+                  "backend's workers are confluence_worker daemons",
+                  backend_name.c_str());
+    std::vector<std::string> hosts;
+    if (backend_name == "ssh") {
+        if (hosts_list.empty())
+            cfl_fatal("--backend ssh needs --hosts h1,h2,..");
+        hosts = splitList(hosts_list);
+    }
+
+    const std::vector<SweepPoint> points =
+        sweepio::readPoints(points_path);
+    const bool local = backend_name == "local";
+    if (local)
+        queue_dir = work_dir.empty() ? out_path + ".work" : work_dir;
+    queue::WorkQueue wq(queue_dir, local ? "" : queue_name);
+    // A stale stop marker from a drained earlier run would make fresh
+    // workers exit mid-dispatch; this run wants them alive.
+    wq.clearStop();
+    // Reconcile *before* the cache loads below, so every outcome a
+    // previous coordinator's in-flight tasks produce is visible to this
+    // run's cache lookups.
+    dispatch::reconcileSweep(wq, dispatch::sweepKey(points));
+    // Record this tenant's scheduling config before submitting under
+    // it; unspecified fields keep their recorded values.
+    if (tenant_weight_set || tenant_quota_set) {
+        const std::string effective = tenant.empty() ? "default" : tenant;
+        sweepio::TenantRecord config = wq.tenantConfig(effective);
+        if (tenant_weight_set)
+            config.weight = tenant_weight;
+        if (tenant_quota_set)
+            config.quota = tenant_quota;
+        wq.setTenant(effective, config.weight, config.quota);
     }
 
     dispatch::DispatchOptions opts;
     opts.sweepBin = sweep_bin;
-    if (!work_dir.empty())
+    if (!local)
         opts.workDir = work_dir;
-    else if (backend_name == "queue")
-        opts.workDir = wq->dir() + "/work"; // shared with the workers,
-                                            // per named queue
-    else
-        opts.workDir = out_path + ".work";
-    opts.shards = shards;
     opts.retry.maxAttempts = retries + 1;
     opts.retry.timeoutSec = timeout_sec;
-    opts.retry.backoffBaseMs = backoff_ms;
-    // In queue mode the workers own cache write-back (that is what
-    // makes a coordinator kill lossless); everywhere else the
-    // coordinator stores fresh outcomes itself.
-    opts.cacheWriteBack = backend_name != "queue";
+    opts.tenant = tenant;
+    opts.priority = priority;
+    opts.shards = shards;
+    if (local)
+        opts.workerThreads = workers;
+    else if (shards == 0)
+        opts.shards = backend_name == "ssh"
+                          ? static_cast<unsigned>(hosts.size())
+                          : 2;
 
     std::unique_ptr<dispatch::ResultCache> cache;
     if (!no_cache)
         cache = std::make_unique<dispatch::ResultCache>(cache_path,
                                                         code_version);
 
-    const std::vector<SweepPoint> points =
-        sweepio::readPoints(points_path);
+    std::vector<std::thread> fleet;
+    if (backend_name == "ssh") {
+        std::string cmd = dispatch::shellQuote(
+                              siblingBin(argv[0], "confluence_worker")) +
+                          " --queue " + dispatch::shellQuote(queue_dir);
+        if (!queue_name.empty())
+            cmd += " --queue-name " + dispatch::shellQuote(queue_name);
+        cmd += no_cache ? " --no-cache"
+                        : " --cache " + dispatch::shellQuote(cache_path) +
+                              " --code-version " +
+                              dispatch::shellQuote(code_version);
+        fleet = startRemoteWorkers(hosts, remote_dir, cmd);
+    }
+
     dispatch::DispatchStats stats;
     const SweepResult merged = dispatch::runDispatchedSweep(
-        points, *backend, opts, cache.get(), &stats);
+        points, wq, opts, cache.get(), &stats);
+    if (!fleet.empty()) {
+        wq.requestStop();
+        for (std::thread &t : fleet)
+            t.join();
+    }
     sweepio::writeResult(out_path, merged);
 
     // Feed the queue's status view: --queue-status reports the cache
     // hit rate from the newest coordinator-recorded counters.
-    if (wq != nullptr)
-        wq->recordCacheStats(cache ? cache->hits() : 0,
-                             cache ? cache->misses() : 0);
+    wq.recordCacheStats(cache ? cache->hits() : 0,
+                        cache ? cache->misses() : 0);
 
-    for (const dispatch::ShardRun &run : stats.shardRuns)
-        if (run.attempts > 1)
-            std::fprintf(stderr,
-                         "shard %u needed %u attempts (last exit %d)\n",
-                         run.shard, run.attempts, run.lastExit);
-    std::fprintf(stderr, "dispatched %zu points (%u workers, backend "
-                 "%s) into %s\n",
-                 merged.points.size(), backend->workers(),
-                 backend_name.c_str(), out_path.c_str());
+    std::fprintf(stderr, "dispatched %zu points (backend %s) into %s\n",
+                 merged.points.size(), backend_name.c_str(),
+                 out_path.c_str());
     std::printf("dispatch total_points=%zu cache_hits=%llu "
                 "cache_misses=%llu evaluated_points=%zu shards=%u "
-                "retries=%u attempts=%u backoff_ms=%llu\n",
+                "retries=%u attempts=%u\n",
                 stats.totalPoints,
                 static_cast<unsigned long long>(
                     cache ? cache->hits() : 0),
                 static_cast<unsigned long long>(
                     cache ? cache->misses() : 0),
                 stats.evaluatedPoints, stats.shards, stats.retries,
-                stats.attempts,
-                static_cast<unsigned long long>(stats.backoffMs));
+                stats.attempts);
     return 0;
 }

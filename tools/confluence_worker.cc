@@ -2,16 +2,14 @@
  * @file
  * Pull-based sweep worker daemon.
  *
- * Where confluence_dispatch *pushes* commands at workers, this daemon
- * *pulls*: it claims tasks from a persistent work queue (src/queue) —
- * taking each task's lease exclusively and moving its file with an
- * atomic rename, so no two workers ever run the same shard — executes
- * the task's command (a `confluence_sweep --points` shard), heartbeats
- * the lease while the command runs, folds the shard's outcomes into
- * the content-addressed result cache, and records completion. Because
- * completed work lands in the cache *before* the completion record, a
- * coordinator can be SIGKILLed at any moment and a restarted one
- * resumes from the queue + cache without re-evaluating anything.
+ * Runs the queue worker loop (src/queue/worker.hh) against a
+ * persistent work queue: claim a task (a `confluence_sweep --points`
+ * shard a confluence_dispatch coordinator enqueued), run it while
+ * heartbeating its lease, fold the shard's outcomes into the
+ * content-addressed result cache, and only then record completion.
+ * Because completed work lands in the cache *before* the completion
+ * record, a coordinator can be SIGKILLed at any moment and a restarted
+ * one resumes from the queue + cache without re-evaluating anything.
  *
  * Workers are anonymous and elastic: start any number on any machines
  * sharing the queue directory (and the cache store), kill them freely
@@ -46,24 +44,18 @@
  * error; 2 on usage errors.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 
 #include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "dispatch/backend.hh"
 #include "dispatch/result_cache.hh"
-#include "fault/fault.hh"
 #include "queue/queue.hh"
-#include "sweepio/codec.hh"
+#include "queue/worker.hh"
 
 using namespace cfl;
 
@@ -103,9 +95,8 @@ main(int argc, char **argv)
 {
     std::string queue_dir = queue::WorkQueue::defaultDir();
     std::string queue_name;
-    std::string owner = defaultOwner();
-    unsigned lease_sec = 60, poll_ms = 200, idle_exit_sec = 0;
-    unsigned max_tasks = 0;
+    queue::WorkerOptions wopts;
+    wopts.owner = defaultOwner();
     std::string cache_path = dispatch::ResultCache::defaultStorePath();
     std::string code_version =
         dispatch::ResultCache::defaultCodeVersion();
@@ -123,15 +114,15 @@ main(int argc, char **argv)
         else if (arg == "--queue-name")
             queue_name = value();
         else if (arg == "--owner")
-            owner = value();
+            wopts.owner = value();
         else if (arg == "--lease")
-            lease_sec = parseUnsignedFlag(arg, value());
+            wopts.leaseSec = parseUnsignedFlag(arg, value());
         else if (arg == "--poll-ms")
-            poll_ms = parseUnsignedFlag(arg, value());
+            wopts.pollMs = parseUnsignedFlag(arg, value());
         else if (arg == "--idle-exit")
-            idle_exit_sec = parseUnsignedFlag(arg, value());
+            wopts.idleExitSec = parseUnsignedFlag(arg, value());
         else if (arg == "--max-tasks")
-            max_tasks = parseUnsignedFlag(arg, value());
+            wopts.maxTasks = parseUnsignedFlag(arg, value());
         else if (arg == "--cache")
             cache_path = value();
         else if (arg == "--no-cache")
@@ -141,9 +132,9 @@ main(int argc, char **argv)
         else
             usage(argv[0]);
     }
-    if (lease_sec == 0)
+    if (wopts.leaseSec == 0)
         cfl_fatal("--lease must be >= 1");
-    if (poll_ms == 0)
+    if (wopts.pollMs == 0)
         cfl_fatal("--poll-ms must be >= 1");
 
     queue::WorkQueue queue(queue_dir, queue_name);
@@ -154,117 +145,11 @@ main(int argc, char **argv)
     if (!no_cache)
         cache = std::make_unique<dispatch::ResultCache>(cache_path,
                                                         code_version);
+    wopts.cache = cache.get();
     std::fprintf(stderr,
                  "confluence_worker %s: queue %s, lease %us, cache %s\n",
-                 owner.c_str(), queue.dir().c_str(), lease_sec,
+                 wopts.owner.c_str(), queue.dir().c_str(), wopts.leaseSec,
                  no_cache ? "(off)" : cache_path.c_str());
-
-    using Clock = std::chrono::steady_clock;
-    Clock::time_point idle_since = Clock::now();
-    unsigned tasks_done = 0;
-
-    while (true) {
-        if (std::optional<queue::TaskClaim> claim =
-                queue.claim(owner, lease_sec)) {
-            std::fprintf(stderr,
-                         "worker %s: claimed task %s (tenant %s, "
-                         "priority %lld)\n",
-                         owner.c_str(), claim->task.id.c_str(),
-                         claim->task.tenant.c_str(),
-                         static_cast<long long>(claim->task.priority));
-            // Death point for chaos runs: dying here leaves the claim
-            // held and the command unrun — pure lease-expiry recovery.
-            fault::checkpoint("worker.task.claimed");
-            const auto start = Clock::now();
-
-            // Heartbeat from the command's wait loop: every lease/3
-            // seconds, so a live worker never expires. A lost lease
-            // (we stalled past expiry and the task was reclaimed)
-            // aborts the command: the re-claimed attempt is about to
-            // write the same result file, and racing it would be
-            // worse than throwing our partial work away.
-            Clock::time_point last_beat = start;
-            const auto beat_every =
-                std::chrono::milliseconds(lease_sec * 1000 / 3);
-            bool lease_lost = false;
-            const dispatch::RunStatus status = dispatch::runLocalCommand(
-                claim->task.command, 0, [&] {
-                    if (Clock::now() - last_beat < beat_every)
-                        return true;
-                    last_beat = Clock::now();
-                    lease_lost = !queue.heartbeat(*claim, lease_sec);
-                    return !lease_lost;
-                });
-            if (lease_lost) {
-                cfl_warn("worker %s lost the lease on task %s (stalled "
-                         "past expiry?); aborted the command — the "
-                         "task's new owner completes it",
-                         owner.c_str(), claim->task.id.c_str());
-                idle_since = Clock::now();
-                continue;
-            }
-
-            int exit_code = status.exitCode;
-            if (exit_code == 0 && !claim->task.result.empty() &&
-                !std::filesystem::exists(claim->task.result)) {
-                cfl_warn("task %s exited 0 but left no result file "
-                         "\"%s\"; recording it as failed",
-                         claim->task.id.c_str(),
-                         claim->task.result.c_str());
-                exit_code = 1;
-            }
-            // Outcomes reach the shared cache *before* the completion
-            // record: once a task reads as done, its work is durable.
-            if (exit_code == 0 && cache != nullptr &&
-                !claim->task.result.empty()) {
-                const SweepResult result =
-                    sweepio::readResult(claim->task.result);
-                for (const SweepOutcome &o : result.points)
-                    cache->insert(o);
-                cache->flush();
-                if (cache->degraded())
-                    cfl_warn("worker %s: cache write-back degraded; "
-                             "completing tasks without persisting "
-                             "their outcomes", owner.c_str());
-            }
-            queue.complete(*claim, exit_code);
-            // Death point between durable completion and the next
-            // claim — the window the cache-before-done ordering
-            // protects.
-            fault::checkpoint("worker.task.completed");
-
-            const std::chrono::duration<double> elapsed =
-                Clock::now() - start;
-            std::fprintf(stderr,
-                         "worker %s: task %s exit %d (%.2fs)\n",
-                         owner.c_str(), claim->task.id.c_str(),
-                         exit_code, elapsed.count());
-            ++tasks_done;
-            idle_since = Clock::now();
-            if (max_tasks != 0 && tasks_done >= max_tasks) {
-                std::fprintf(stderr, "worker %s: completed %u task(s), "
-                             "exiting\n", owner.c_str(), tasks_done);
-                return 0;
-            }
-            continue;
-        }
-
-        if (queue.reclaimExpired() != 0)
-            continue; // reclaimed something: claim it right away
-        if (queue.stopRequested() && queue.pendingCount() == 0) {
-            std::fprintf(stderr, "worker %s: stop requested, queue "
-                         "drained (%u task(s) done), exiting\n",
-                         owner.c_str(), tasks_done);
-            return 0;
-        }
-        if (idle_exit_sec != 0 &&
-            Clock::now() - idle_since >
-                std::chrono::seconds(idle_exit_sec)) {
-            std::fprintf(stderr, "worker %s: idle for %us (%u task(s) "
-                         "done), exiting\n",
-                         owner.c_str(), idle_exit_sec, tasks_done);
-            return 0;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-    }
+    queue::runWorker(queue, wopts);
+    return 0;
 }
