@@ -128,9 +128,12 @@ settle(Shard &s, unsigned index, int exit_code, bool timed_out,
              s.attempts, exit_code, timed_out ? ", timed out" : "");
 }
 
+/** driveShards' result when DispatchOptions::quit ended the wait. */
+constexpr std::size_t kQuit = static_cast<std::size_t>(-1);
+
 /**
  * Enqueue every shard and wait until each has succeeded or one failed
- * for good. Returns the failed shard's index, or shards.size().
+ * for good. Returns the failed shard's index, shards.size(), or kQuit.
  */
 std::size_t
 driveShards(queue::WorkQueue &queue, std::vector<Shard> &shards,
@@ -144,6 +147,8 @@ driveShards(queue::WorkQueue &queue, std::vector<Shard> &shards,
     bool warned_quota = false;
     std::size_t open = shards.size();
     while (true) {
+        if (opts.quit != nullptr && opts.quit->load())
+            return kQuit;
         // Keep the queue healthy while waiting: a worker that died
         // mid-task must not strand its shard until a daemon notices.
         queue.reclaimExpired();
@@ -315,6 +320,8 @@ runDispatchedSweep(const std::vector<SweepPoint> &points,
             failed = driveShards(queue, shards, key + "-" + runNonce() + "-",
                                  opts);
         }
+        if (failed == kQuit)
+            return {}; // the threads killed their commands' groups
         for (const Shard &s : shards) {
             st.attempts += s.attempts;
             st.retries += s.attempts == 0 ? 0 : s.attempts - 1;

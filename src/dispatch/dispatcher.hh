@@ -44,6 +44,7 @@
 #ifndef CFL_DISPATCH_DISPATCHER_HH
 #define CFL_DISPATCH_DISPATCHER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -90,6 +91,9 @@ struct DispatchOptions
      *  submission quota the coordinator waits for headroom. */
     std::string tenant;
     std::int64_t priority = 0; ///< task priority (higher claims first)
+    /** Set by the owner to abandon the wait (nullptr = never): see
+     *  runDispatchedSweep. */
+    const std::atomic<bool> *quit = nullptr;
 };
 
 /** Bookkeeping a dispatched sweep reports back. */
@@ -124,7 +128,10 @@ void reconcileSweep(queue::WorkQueue &queue, const std::string &key);
  * outcomes in the submission order of @p points and is byte-identical
  * (sweepio::encodeResult) to runTimingSweep over the same points.
  * Fully cached sweeps enqueue nothing. fatal()s if any shard exhausts
- * its attempts.
+ * its attempts. Once *opts.quit is true, the wait for shards ends: the
+ * threads this call started kill their commands' process groups and
+ * join, and the call returns an empty result at once. The owner of
+ * the flag must check it before using the result.
  */
 SweepResult runDispatchedSweep(const std::vector<SweepPoint> &points,
                                queue::WorkQueue &queue,

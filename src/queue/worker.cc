@@ -1,6 +1,7 @@
 #include "queue/worker.hh"
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
@@ -23,6 +24,16 @@ namespace
  *  coordinator's instance. One batch append per task: never held for
  *  long. */
 std::mutex g_cacheMutex;
+
+std::atomic<bool> g_signalQuit{false};
+std::atomic<int> g_caughtSignal{0};
+
+void
+onQuitSignal(int sig)
+{
+    g_caughtSignal.store(sig);
+    g_signalQuit.store(true);
+}
 
 bool
 quitting(const WorkerOptions &opts)
@@ -48,6 +59,24 @@ writeBack(dispatch::ResultCache &cache, const std::string &result_path,
 }
 
 } // namespace
+
+const std::atomic<bool> &
+quitOnSignal()
+{
+    struct sigaction action = {};
+    action.sa_handler = onQuitSignal;
+    sigemptyset(&action.sa_mask);
+    action.sa_flags = SA_RESTART;
+    ::sigaction(SIGINT, &action, nullptr);
+    ::sigaction(SIGTERM, &action, nullptr);
+    return g_signalQuit;
+}
+
+int
+caughtSignal()
+{
+    return g_caughtSignal.load();
+}
 
 unsigned
 runWorker(WorkQueue &queue, const WorkerOptions &opts)
@@ -119,6 +148,15 @@ runWorker(WorkQueue &queue, const WorkerOptions &opts)
                      "owner completes it",
                      owner, task.id.c_str());
             continue;
+        }
+        if (quitting(opts)) {
+            // Leave the claim as a dead worker would: its lease expires
+            // and the task goes back to pending, costing the
+            // coordinator no attempt.
+            std::fprintf(stderr, "worker %s: quit; killed task %s, its "
+                         "lease lapses for another worker\n",
+                         owner, task.id.c_str());
+            break;
         }
 
         int exit_code = status.exitCode;

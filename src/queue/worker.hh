@@ -52,8 +52,10 @@ struct WorkerOptions
      *  instance: write-back is serialized process-wide. */
     dispatch::ResultCache *cache = nullptr;
     /** Set by the owner to end the loop at once: an idle worker
-     *  returns, a running command is killed and its task completed
-     *  with exit 137. nullptr = run until a condition above. */
+     *  returns; a running command is killed and its task left claimed,
+     *  so the lease expires and another worker reruns it without the
+     *  coordinator counting a failed attempt. nullptr = run until a
+     *  condition above. */
     const std::atomic<bool> *quit = nullptr;
 };
 
@@ -63,6 +65,20 @@ struct WorkerOptions
  * number of tasks completed.
  */
 unsigned runWorker(WorkQueue &queue, const WorkerOptions &opts);
+
+/**
+ * Route SIGINT and SIGTERM to the returned flag, for WorkerOptions::quit,
+ * instead of the default process death. A task command runs in a
+ * process group of its own (dispatch::runLocalCommand), out of reach of
+ * a terminal's Ctrl-C; a worker that sees the flag kills that group, so
+ * a caller that exits with 128 + caughtSignal() afterwards leaves
+ * nothing running. Installs the handlers on every call; returns one
+ * flag.
+ */
+const std::atomic<bool> &quitOnSignal();
+
+/** The signal that set quitOnSignal()'s flag, or 0. */
+int caughtSignal();
 
 } // namespace cfl::queue
 

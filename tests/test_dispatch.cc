@@ -4,12 +4,14 @@
  * miss), the content-addressed store round trip, dispatched sweeps
  * over a private work queue served by in-process worker threads (byte
  * identity, retry as a fresh task, exhausted and no-retry exit codes,
- * per-command timeouts), and the process-spawn helper's timeout and
- * process-group kill.
+ * per-command timeouts), the process-spawn helper's timeout and
+ * process-group kill, and the confluence_worker / confluence_dispatch
+ * binaries' signal handling and work-directory cleanup.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -17,8 +19,10 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "dispatch/dispatcher.hh"
@@ -80,6 +84,30 @@ freshDir(const std::string &name)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir;
+}
+
+/**
+ * True once @p pid stops running within @p ms: kill(pid, 0) fails, or
+ * the process is a zombie. A killed orphan is reparented and may
+ * linger as a zombie until its new parent reaps it.
+ */
+bool
+stopsRunningWithin(pid_t pid, int ms)
+{
+    for (int waited = 0;; waited += 20) {
+        if (::kill(pid, 0) != 0 && errno == ESRCH)
+            return true;
+        std::string stat;
+        std::getline(std::ifstream("/proc/" + std::to_string(pid) + "/stat"),
+                     stat);
+        const std::size_t paren = stat.rfind(')');
+        if (paren != std::string::npos && paren + 2 < stat.size() &&
+            stat[paren + 2] == 'Z')
+            return true;
+        if (waited >= ms)
+            return false;
+        ::usleep(20'000);
+    }
 }
 
 std::size_t
@@ -496,26 +524,8 @@ TEST(RunLocalCommand, TimeoutKillsTheWholeProcessGroup)
     pid_t child = 0;
     std::ifstream(pid_file) >> child;
     ASSERT_GT(child, 0);
-    // The orphan is reparented, so it may linger briefly as a zombie
-    // until its new parent reaps it; either way it must not run.
-    bool alive = true;
-    for (int i = 0; i < 100 && alive; ++i) {
-        if (::kill(child, 0) != 0 && errno == ESRCH)
-            alive = false;
-        else {
-            std::string stat;
-            std::getline(std::ifstream("/proc/" + std::to_string(child) +
-                                       "/stat"),
-                         stat);
-            const std::size_t paren = stat.rfind(')');
-            if (paren != std::string::npos && paren + 2 < stat.size() &&
-                stat[paren + 2] == 'Z')
-                alive = false;
-        }
-        if (alive)
-            ::usleep(20'000);
-    }
-    EXPECT_FALSE(alive) << "pid " << child << " outlived the timeout";
+    EXPECT_TRUE(stopsRunningWithin(child, 2000))
+        << "pid " << child << " outlived the timeout";
 }
 
 TEST(SshWrapCommand, WrapsCommandsWithBatchModeAndQuoting)
@@ -620,4 +630,227 @@ TEST(RegressionHistory, RejectsTagsTheStoreCannotReparse)
             history.append(entry);
         },
         ::testing::ExitedWithCode(1), "cannot hold");
+}
+
+// ---------------------------------------------------------------------------
+// The tools: signals reach the shard process groups; a local dispatch
+// cleans up its private queue
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/** Start @p argv (argv[0] a path) as a child process. */
+pid_t
+spawn(const std::vector<std::string> &argv)
+{
+    std::vector<char *> args;
+    for (const std::string &a : argv)
+        args.push_back(const_cast<char *>(a.c_str()));
+    args.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::execv(args[0], args.data());
+        ::_exit(127);
+    }
+    return pid;
+}
+
+/** The pid @p path holds once written, waiting up to 20 s; 0 if none. */
+pid_t
+awaitPidFile(const std::string &path)
+{
+    for (int i = 0; i < 1000; ++i) {
+        pid_t pid = 0;
+        if (std::ifstream(path) >> pid && pid > 0)
+            return pid;
+        ::usleep(20'000);
+    }
+    return 0;
+}
+
+/** Wait up to 20 s for @p pid: its exit code, -128 - N after a death
+ *  by signal N, or -1 if it still runs (it is then SIGKILLed). */
+int
+awaitExit(pid_t pid)
+{
+    int status = 0;
+    for (int i = 0; i < 1000; ++i) {
+        if (::waitpid(pid, &status, WNOHANG) == pid)
+            return WIFEXITED(status) ? WEXITSTATUS(status)
+                                     : -128 - WTERMSIG(status);
+        ::usleep(20'000);
+    }
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    return -1;
+}
+
+/** A task command that forks `sleep 30`, records its pid in
+ *  @p pid_file and waits on it. */
+std::string
+sleeperCommand(const std::string &pid_file)
+{
+    return "sleep 30 & echo $! > " + shellQuote(pid_file) + "; wait";
+}
+
+/** Signal @p tool once @p pid_file names its shard's sleep; the tool
+ *  must exit 128 + @p sig and the sleep stop running within 2 s. */
+void
+expectSignalKillsTheShard(pid_t tool, int sig, const std::string &pid_file)
+{
+    const pid_t sleeper = awaitPidFile(pid_file);
+    ASSERT_GT(sleeper, 0) << "the task never started";
+    ::kill(tool, sig);
+    EXPECT_EQ(awaitExit(tool), 128 + sig);
+    EXPECT_TRUE(stopsRunningWithin(sleeper, 2000))
+        << "the shard's sleep (pid " << sleeper << ") outlived signal "
+        << sig;
+    ::kill(sleeper, SIGKILL);
+}
+
+} // namespace
+
+TEST(DispatchedSweep, QuitFlagEndsTheWaitAndKillsRunningShards)
+{
+    const std::string dir = freshDir("dispatch_quit");
+    queue::WorkQueue queue(dir + "/queue");
+    DispatchOptions opts;
+    opts.sweepBin =
+        scriptedSweep(dir, sleeperCommand(dir + "/sleep.pid"));
+    opts.workerThreads = 1;
+    opts.shards = 1;
+    std::atomic<bool> quit{false};
+    opts.quit = &quit;
+
+    pid_t sleeper = 0;
+    std::thread owner([&] {
+        sleeper = awaitPidFile(dir + "/sleep.pid");
+        quit = true;
+    });
+    const SweepResult result =
+        runDispatchedSweep(tinyGrid(), queue, opts, nullptr, nullptr);
+    owner.join();
+    ASSERT_GT(sleeper, 0) << "the task never started";
+    EXPECT_TRUE(result.points.empty());
+    EXPECT_TRUE(stopsRunningWithin(sleeper, 2000))
+        << "the shard's sleep (pid " << sleeper << ") outlived the quit";
+    // Abandoned as a dead worker's: no failed attempt is on record.
+    EXPECT_EQ(queue.claimedCount(), 1u);
+    ::kill(sleeper, SIGKILL);
+}
+
+TEST(ConfluenceWorker, SignalKillsTheRunningTaskGroupAndExits128PlusSig)
+{
+    for (const int sig : {SIGINT, SIGTERM}) {
+        SCOPED_TRACE("signal " + std::to_string(sig));
+        const std::string dir =
+            freshDir("worker_signal" + std::to_string(sig));
+        queue::WorkQueue queue(dir + "/queue");
+        sweepio::TaskRecord task;
+        task.id = "sleeper";
+        task.command = sleeperCommand(dir + "/sleep.pid");
+        queue.enqueue(task);
+
+        const pid_t worker =
+            spawn({CFL_WORKER_BIN, "--queue", dir + "/queue", "--no-cache",
+                   "--poll-ms", "20", "--owner", "signal-test"});
+        expectSignalKillsTheShard(worker, sig, dir + "/sleep.pid");
+    }
+}
+
+TEST(ConfluenceWorker, SignalledTaskIsRerunWithoutCostingARetry)
+{
+    const std::string dir = freshDir("worker_signal_rerun");
+    const std::vector<SweepPoint> points = tinyGrid();
+    sweepio::writePoints(dir + "/points.jsonl", points);
+    // The first attempt sleeps until it is killed; a rerun is real.
+    const std::string sweep = scriptedSweep(
+        dir, "[ -e \"$4.slept\" ] || { touch \"$4.slept\"; " +
+                 sleeperCommand(dir + "/sleep.pid") + "; }");
+    const auto worker = [&](const std::string &owner) {
+        return spawn({CFL_WORKER_BIN, "--queue", dir + "/queue",
+                      "--no-cache", "--poll-ms", "20", "--lease", "1",
+                      "--max-tasks", "1", "--idle-exit", "5", "--owner",
+                      owner});
+    };
+
+    const pid_t first = worker("first");
+    const pid_t dispatch =
+        spawn({CFL_DISPATCH_BIN, "--backend", "queue", "--queue-dir",
+               dir + "/queue", "--points", dir + "/points.jsonl", "--out",
+               dir + "/out.jsonl", "--shards", "1", "--retries", "0",
+               "--no-cache", "--sweep-bin", sweep});
+    expectSignalKillsTheShard(first, SIGTERM, dir + "/sleep.pid");
+    const pid_t second = worker("second");
+    EXPECT_EQ(awaitExit(dispatch), 0)
+        << "the signalled attempt cost the shard its only attempt";
+    EXPECT_EQ(awaitExit(second), 0);
+    ASSERT_TRUE(std::filesystem::exists(dir + "/out.jsonl"));
+    EXPECT_EQ(sweepio::encodeResult(sweepio::readResult(dir + "/out.jsonl")),
+              referenceBytes(points));
+}
+
+TEST(ConfluenceDispatch, SignalKillsLocalShardsAndKeepsTheWorkDir)
+{
+    for (const int sig : {SIGINT, SIGTERM}) {
+        SCOPED_TRACE("signal " + std::to_string(sig));
+        const std::string dir =
+            freshDir("dispatch_signal" + std::to_string(sig));
+        sweepio::writePoints(dir + "/points.jsonl", tinyGrid());
+        const std::string sweep =
+            scriptedSweep(dir, sleeperCommand(dir + "/sleep.pid"));
+
+        const pid_t dispatch =
+            spawn({CFL_DISPATCH_BIN, "--points", dir + "/points.jsonl",
+                   "--out", dir + "/out.jsonl", "--workers", "1",
+                   "--no-cache", "--sweep-bin", sweep});
+        expectSignalKillsTheShard(dispatch, sig, dir + "/sleep.pid");
+        // Kept, as after a crash: a restart reconciles from it.
+        EXPECT_TRUE(std::filesystem::exists(dir + "/out.jsonl.work"));
+    }
+}
+
+TEST(ConfluenceDispatch, LocalDispatchRemovesItsWorkDir)
+{
+    const std::string dir = freshDir("dispatch_workdir");
+    const std::vector<SweepPoint> points = tinyGrid();
+    sweepio::writePoints(dir + "/points.jsonl", points);
+    const auto dispatch = [&](const std::string &out) {
+        return awaitExit(spawn(
+            {CFL_DISPATCH_BIN, "--points", dir + "/points.jsonl", "--out",
+             out, "--workers", "2", "--cache", dir + "/cache.jsonl",
+             "--code-version", "v1", "--sweep-bin", CFL_SWEEP_BIN}));
+    };
+
+    // The second dispatch is all cache hits and still opens the queue.
+    for (const std::string &out : {dir + "/a.jsonl", dir + "/b.jsonl"}) {
+        ASSERT_EQ(dispatch(out), 0);
+        EXPECT_EQ(sweepio::encodeResult(sweepio::readResult(out)),
+                  referenceBytes(points));
+        EXPECT_FALSE(std::filesystem::exists(out + ".work")) << out;
+    }
+    EXPECT_EQ(countLines(dir + "/cache.jsonl"), points.size());
+}
+
+TEST(ConfluenceDispatch, NamedWorkDirLosesOnlyTheSweepsShardFiles)
+{
+    const std::string dir = freshDir("dispatch_named_workdir");
+    const std::vector<SweepPoint> points = tinyGrid();
+    sweepio::writePoints(dir + "/points.jsonl", points);
+    const std::string shared = dir + "/shared";
+    std::filesystem::create_directories(shared);
+    std::ofstream(shared + "/keep.txt") << "not the dispatch's\n";
+
+    ASSERT_EQ(awaitExit(spawn({CFL_DISPATCH_BIN, "--points",
+                               dir + "/points.jsonl", "--out",
+                               dir + "/out.jsonl", "--workers", "2",
+                               "--work-dir", shared, "--no-cache",
+                               "--sweep-bin", CFL_SWEEP_BIN})),
+              0);
+    EXPECT_EQ(sweepio::encodeResult(sweepio::readResult(dir + "/out.jsonl")),
+              referenceBytes(points));
+    EXPECT_TRUE(std::filesystem::exists(shared + "/keep.txt"));
+    EXPECT_FALSE(
+        std::filesystem::exists(shared + "/work/" + sweepKey(points)));
 }

@@ -9,17 +9,21 @@
  * straight-line execution. These tests drive the fast-forward and
  * restore paths at arbitrary (seeded-random) offsets across workloads,
  * seeds, and trace-cache on/off, and pin the sampled estimator codec
- * round trip plus the exact-mode byte format.
+ * round trip plus the exact-mode byte format. SampledVsExact gates
+ * whole sampled sweeps statistically against their exact twins.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "confluence/cmp.hh"
+#include "confluence/factory.hh"
 #include "sim/presets.hh"
 #include "sim/sampling.hh"
 #include "sim/sweep.hh"
@@ -320,3 +324,170 @@ TEST(SamplingSweep, MergeCarriesSampledEstimates)
     EXPECT_TRUE(fa->metrics.sampling == oa.metrics.sampling);
     EXPECT_TRUE(fb->metrics.sampling == ob.metrics.sampling);
 }
+
+// ---------------------------------------------------------------------------
+// Sampled against exact on whole grids
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/** A grid the sampled-vs-exact gate runs on. */
+struct GateGrid
+{
+    const char *name;
+    std::vector<FrontendKind> kinds;
+    std::vector<WorkloadId> workloads;
+    RunScale scale;
+};
+
+std::ostream &
+operator<<(std::ostream &out, const GateGrid &grid)
+{
+    return out << grid.name;
+}
+
+/** The quick fig06 grid: every compared front end over the suite. */
+GateGrid
+quickFig06Grid()
+{
+    return {"quick_fig06",
+            {FrontendKind::Baseline, FrontendKind::Fdp,
+             FrontendKind::PhantomFdp, FrontendKind::TwoLevelFdp,
+             FrontendKind::TwoLevelShift, FrontendKind::Confluence,
+             FrontendKind::Ideal},
+            allWorkloads(),
+            scaleByName("quick")};
+}
+
+/** Two designs on two workloads at a budget small enough that
+ *  estimator noise, not warming bias, dominates the geomean error. */
+GateGrid
+smokeGrid()
+{
+    RunScale scale = scaleByName("quick");
+    scale.timingWarmupInsts = 300'000;
+    scale.timingMeasureInsts = 150'000;
+    return {"smoke",
+            {FrontendKind::Baseline, FrontendKind::Confluence},
+            {WorkloadId::DssQry, WorkloadId::WebFrontend},
+            scale};
+}
+
+double
+meanCpi(const CmpMetrics &m)
+{
+    double sum = 0.0;
+    for (const CoreMetrics &c : m.cores)
+        sum += c.retired > 0 ? static_cast<double>(c.cycles) /
+                                   static_cast<double>(c.retired)
+                             : 0.0;
+    return m.cores.empty() ? 0.0 : sum / m.cores.size();
+}
+
+class SampledVsExact : public ::testing::TestWithParam<GateGrid>
+{};
+
+} // namespace
+
+// Sampled results are not bit-comparable to exact ones, so the gate is
+// statistical: run-to-run determinism, per-metric CI coverage of the
+// exact value, and a bounded geomean-speedup error.
+TEST_P(SampledVsExact, CoversExactAndKeepsGeomeanError)
+{
+    const GateGrid &grid = GetParam();
+    std::vector<SweepPoint> points;
+    for (const FrontendKind kind : grid.kinds)
+        for (const WorkloadId wl : grid.workloads)
+            points.push_back({kind, wl, grid.scale, SamplingSpec{}});
+    std::vector<SweepPoint> spoints = points;
+    for (SweepPoint &p : spoints)
+        p.sampling = defaultSamplingSpec(p.scale);
+
+    const SystemConfig config = makeSystemConfig(grid.scale.timingCores);
+    SweepEngine engine;
+    const SweepResult exact = runTimingSweep(points, config, engine);
+    const SweepResult sampled = runTimingSweep(spoints, config, engine);
+    EXPECT_EQ(sweepio::encodeResult(runTimingSweep(spoints, config, engine)),
+              sweepio::encodeResult(sampled))
+        << "sampled sweep not run-to-run deterministic";
+
+    // Coverage gate. Each estimator's CI is a per-metric 95%
+    // interval; this loop tests ~100 of them simultaneously, so an
+    // uncorrected gate would reject a correct sampler ~99% of the
+    // time (expect ~5 misses in 105 at 95%). The slack widens each
+    // test to a family-wise ~95% level (Sidak for ~100 tests means
+    // ~3.5 sigma total, i.e. ~1.5 sigma beyond the t interval)
+    // plus a 2% relative tolerance for residual warming bias,
+    // matching the sweep-level IPC-error budget, plus a per-metric
+    // discreteness quantum: an estimator built from short intervals
+    // cannot resolve biases below ~one miss event per interval
+    // (at 2k-inst intervals one L1-I miss is 0.5 MPKI, and one
+    // LLC-fill-plus-redirect event is ~32 cycles of CPI), which is
+    // exactly the scale of residual content-warming error on
+    // workloads whose footprint nearly fits a cache level.
+    const double interval_insts =
+        static_cast<double>(spoints.front().sampling.intervalInsts);
+    const double mpki_quantum = 1000.0 / interval_insts;
+    const double cpi_quantum = 32.0 / interval_insts;
+    const auto check = [](const SweepOutcome &o, const char *metric,
+                          const MetricEstimate &est, double exact_value,
+                          double quantum) {
+        const double slack = 1.5 * est.standardError() +
+                             0.02 * std::abs(exact_value) + quantum;
+        EXPECT_TRUE(est.covers(exact_value, slack))
+            << "(" << frontendKindName(o.point.kind) << ", "
+            << workloadSlug(o.point.workload) << ") " << metric << " CI "
+            << est.mean << " +- " << est.halfWidth95() << " (+ slack "
+            << slack << ") does not cover exact " << exact_value;
+    };
+    ASSERT_EQ(sampled.points.size(), exact.points.size());
+    for (std::size_t i = 0; i < exact.points.size(); ++i) {
+        const CmpMetrics &ex = exact.points[i].metrics;
+        const SweepOutcome &sa = sampled.points[i];
+        const SampleEstimates &est = sa.metrics.sampling;
+        ASSERT_TRUE(est.valid()) << "sampled outcome lacks estimators";
+        check(sa, "cpi", est.cpi, meanCpi(ex), cpi_quantum);
+        check(sa, "btb_mpki", est.btbMpki, ex.meanBtbMpki(), mpki_quantum);
+        check(sa, "l1i_mpki", est.l1iMpki, ex.meanL1iMpki(), mpki_quantum);
+    }
+
+    // The 2% budget below is a *bias* limit, calibrated on the
+    // quick grid; on smaller budgets (the smoke grid) estimator
+    // noise alone can exceed it with a perfectly unbiased sampler.
+    // Widen by the sampled geomean's own statistical resolution:
+    // each per-workload speedup is a ratio of two independent CPI
+    // estimates, so its relative variance is the sum of theirs,
+    // and the geomean's 1/W exponent shrinks the combined SE.
+    double ratio_rel_var_sum = 0.0;
+    unsigned n_ratios = 0;
+    for (const WorkloadId wl : sampled.workloadsOf(FrontendKind::Confluence)) {
+        const SweepOutcome *conf = sampled.find(FrontendKind::Confluence, wl);
+        const SweepOutcome *base = sampled.find(FrontendKind::Baseline, wl);
+        ASSERT_NE(conf, nullptr);
+        ASSERT_NE(base, nullptr);
+        const MetricEstimate &ec = conf->metrics.sampling.cpi;
+        const MetricEstimate &eb = base->metrics.sampling.cpi;
+        const double rc = ec.standardError() / ec.mean;
+        const double rb = eb.standardError() / eb.mean;
+        ratio_rel_var_sum += rc * rc + rb * rb;
+        ++n_ratios;
+    }
+    ASSERT_GT(n_ratios, 0u);
+    const double geo_rel_se = std::sqrt(ratio_rel_var_sum) / n_ratios;
+    const double geo_exact =
+        exact.geomeanSpeedup(FrontendKind::Confluence, FrontendKind::Baseline);
+    const double geo_sampled = sampled.geomeanSpeedup(
+        FrontendKind::Confluence, FrontendKind::Baseline);
+    EXPECT_LE(std::abs(geo_sampled - geo_exact) / geo_exact,
+              0.02 + 1.96 * geo_rel_se)
+        << "sampled geomean speedup " << geo_sampled << " vs exact "
+        << geo_exact << " (limit: 2% bias + 1.96x geomean SE "
+        << geo_rel_se << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, SampledVsExact,
+                         ::testing::Values(quickFig06Grid(), smokeGrid()),
+                         [](const ::testing::TestParamInfo<GateGrid> &info) {
+                             return std::string(info.param.name);
+                         });

@@ -1,12 +1,17 @@
 /**
  * @file Tests for shared immutable traces: TraceBuffer replay fidelity,
- * TraceCache sharing/thread-safety/budget, and bit-identity of cached
- * sweeps against the pre-cache golden pins.
+ * TraceCache sharing/thread-safety/budget, bit-identity of cached
+ * sweeps against the pre-cache golden pins, and the steady-state
+ * allocation bound of a cached sweep (this binary counts every
+ * global operator new).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +20,56 @@
 #include "trace/trace_cache.hh"
 
 using namespace cfl;
+
+// ---------------------------------------------------------------------------
+// Global allocation counter (this binary only).
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+std::atomic<std::uint64_t> g_allocCount{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -395,4 +450,30 @@ TEST(TraceCacheGolden, CachedSweepIsBitIdenticalToLive)
     EXPECT_NEAR(cached.geomeanSpeedup(FrontendKind::Confluence,
                                       FrontendKind::Baseline),
                 1.217584361106137, 1e-9);
+}
+
+// Once its traces are cached, a sweep allocates per point (building the
+// machine), never per instruction: per-instruction allocation on the
+// replay path would put this count in the hundreds.
+TEST(TraceCacheGolden, WarmedCachedSweepAllocatesUnderFiftyPerKinst)
+{
+    const std::uint64_t saved = traceCache().budgetBytes();
+    traceCache().setBudgetBytes(1ull << 30);
+    const SweepResult warm = goldenQuickSweep();
+
+    const std::uint64_t before = g_allocCount.load();
+    const SweepResult steady = goldenQuickSweep();
+    const std::uint64_t allocs = g_allocCount.load() - before;
+    traceCache().setBudgetBytes(saved);
+
+    double kinsts = 0.0;
+    for (const SweepOutcome &o : steady.points)
+        kinsts += static_cast<double>(o.point.scale.timingWarmupInsts +
+                                      o.point.scale.timingMeasureInsts) *
+                  o.point.scale.timingCores / 1e3;
+    ASSERT_EQ(steady.points.size(), warm.points.size());
+    ASSERT_GT(kinsts, 0.0);
+    EXPECT_LE(allocs / kinsts, 50.0)
+        << allocs << " allocations over " << kinsts
+        << "k simulated instructions";
 }

@@ -24,8 +24,13 @@
  *     differ only in who supplies the queue's workers:
  *       local  a private queue in --work-dir (default <out>.work),
  *              served by --workers N (default 2) threads of this
- *              process; none outlives the dispatch. Default shards:
- *              one per thread.
+ *              process; none outlives the dispatch. A successful
+ *              dispatch removes the default directory (of a named
+ *              --work-dir, only its sweep's shard files); a crashed
+ *              one leaves it for the restart to reconcile. SIGINT or
+ *              SIGTERM kills the running shards' process groups, keeps
+ *              the directory and exits 128 + the signal number.
+ *              Default shards: one per thread.
  *       ssh    one confluence_worker (the binary next to this one) per
  *              --hosts entry, started over ssh (BatchMode, in
  *              --remote-dir) on --queue-dir, which every host must see
@@ -98,7 +103,8 @@
  *
  * Exit codes: 0 success, 1 fatal error (bad configuration, shard
  * exhausted its retries), 2 usage, 5 regression threshold exceeded;
- * 137 (SIGKILL) when a pinned kill fault fires.
+ * 137 (SIGKILL) when a pinned kill fault fires; 128+N when signal N
+ * interrupted a local dispatch.
  */
 
 #include <cerrno>
@@ -106,6 +112,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -118,6 +125,7 @@
 #include "dispatch/process.hh"
 #include "dispatch/result_cache.hh"
 #include "queue/queue.hh"
+#include "queue/worker.hh"
 #include "sweepio/codec.hh"
 
 using namespace cfl;
@@ -149,7 +157,7 @@ usage(const char *argv0)
         "  %s --history history.jsonl --result merged.jsonl --tag TAG\n"
         "     [--threshold FRAC]\n"
         "exit codes: 0 ok, 1 fatal, 2 usage, 5 regression over "
-        "threshold, 6 task quarantined\n",
+        "threshold, 6 task quarantined, 128+N on signal N\n",
         argv0, argv0, argv0, argv0);
     std::exit(kExitUsage);
 }
@@ -480,7 +488,8 @@ main(int argc, char **argv)
     // Reconcile *before* the cache loads below, so every outcome a
     // previous coordinator's in-flight tasks produce is visible to this
     // run's cache lookups.
-    dispatch::reconcileSweep(wq, dispatch::sweepKey(points));
+    const std::string key = dispatch::sweepKey(points);
+    dispatch::reconcileSweep(wq, key);
     // Record this tenant's scheduling config before submitting under
     // it; unspecified fields keep their recorded values.
     if (tenant_weight_set || tenant_quota_set) {
@@ -528,9 +537,20 @@ main(int argc, char **argv)
         fleet = startRemoteWorkers(hosts, remote_dir, cmd);
     }
 
+    // The threads of a local dispatch run shards in process groups of
+    // their own, out of reach of a Ctrl-C: on a signal they kill them
+    // before the process exits.
+    if (local)
+        opts.quit = &queue::quitOnSignal();
     dispatch::DispatchStats stats;
     const SweepResult merged = dispatch::runDispatchedSweep(
         points, wq, opts, cache.get(), &stats);
+    if (const int sig = queue::caughtSignal()) {
+        std::fprintf(stderr, "dispatch interrupted by signal %d; running "
+                     "shards killed, %s kept for a restart\n",
+                     sig, wq.dir().c_str());
+        return 128 + sig;
+    }
     if (!fleet.empty()) {
         wq.requestStop();
         for (std::thread &t : fleet)
@@ -542,6 +562,19 @@ main(int argc, char **argv)
     // hit rate from the newest coordinator-recorded counters.
     wq.recordCacheStats(cache ? cache->hits() : 0,
                         cache ? cache->misses() : 0);
+    if (local) {
+        // Done: a private queue only matters to a restart after a
+        // crash, which never got here. A --work-dir the caller named
+        // may hold other sweeps' queues and files; of it, only this
+        // sweep's shard files go.
+        const std::string done_dir =
+            work_dir.empty() ? queue_dir : wq.dir() + "/work/" + key;
+        std::error_code ec;
+        std::filesystem::remove_all(done_dir, ec);
+        if (ec)
+            cfl_warn("cannot remove work directory \"%s\": %s",
+                     done_dir.c_str(), ec.message().c_str());
+    }
 
     std::fprintf(stderr, "dispatched %zu points (backend %s) into %s\n",
                  merged.points.size(), backend_name.c_str(),

@@ -41,7 +41,10 @@
  * The daemon exits 0 when the queue's stop marker appears and no work
  * is pending (`confluence_dispatch --stop-workers`, or `touch
  * <queue>/stop`), on --idle-exit, or on --max-tasks; 1 on a fatal
- * error; 2 on usage errors.
+ * error; 2 on usage errors. On SIGINT or SIGTERM it kills the running
+ * task's process group and exits 128 + the signal number, leaving the
+ * task claimed: its lease expires and another worker reruns it, with
+ * no attempt counted against the coordinator's --retries.
  */
 
 #include <cstdio>
@@ -75,7 +78,7 @@ usage(const char *argv0)
         "     [--max-tasks N] [--cache FILE | --no-cache]\n"
         "     [--code-version TAG]\n"
         "exit codes: 0 clean shutdown (stop marker, --idle-exit,\n"
-        "  --max-tasks), 1 fatal, 2 usage\n",
+        "  --max-tasks), 1 fatal, 2 usage, 128+N on signal N\n",
         argv0);
     std::exit(kExitUsage);
 }
@@ -150,6 +153,12 @@ main(int argc, char **argv)
                  "confluence_worker %s: queue %s, lease %us, cache %s\n",
                  wopts.owner.c_str(), queue.dir().c_str(), wopts.leaseSec,
                  no_cache ? "(off)" : cache_path.c_str());
+    wopts.quit = &queue::quitOnSignal();
     queue::runWorker(queue, wopts);
+    if (const int sig = queue::caughtSignal()) {
+        std::fprintf(stderr, "confluence_worker %s: signal %d, running "
+                     "task killed, exiting\n", wopts.owner.c_str(), sig);
+        return 128 + sig;
+    }
     return 0;
 }
