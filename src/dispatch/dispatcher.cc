@@ -41,7 +41,6 @@ struct Shard
     std::string result;
     unsigned attempts = 0; ///< attempts started so far
     std::string taskId;    ///< the live attempt's task; "" = none yet
-    bool enqueued = false;
     Clock::time_point deadline{};
     bool ok = false;
     bool failed = false;   ///< out of attempts, or a no-retry exit
@@ -111,7 +110,6 @@ settle(Shard &s, unsigned index, int exit_code, bool timed_out,
     s.lastExit = exit_code;
     s.timedOut = timed_out;
     s.taskId.clear();
-    s.enqueued = false;
     if (exit_code == 0 && !timed_out) {
         s.ok = true;
         return;
@@ -144,7 +142,6 @@ driveShards(queue::WorkQueue &queue, std::vector<Shard> &shards,
     // itself; only external workers need the coordinator's deadline.
     const bool deadlines =
         policy.timeoutSec != 0 && opts.workerThreads == 0;
-    bool warned_quota = false;
     std::size_t open = shards.size();
     while (true) {
         if (opts.quit != nullptr && opts.quit->load())
@@ -163,30 +160,11 @@ driveShards(queue::WorkQueue &queue, std::vector<Shard> &shards,
                            std::to_string(s.attempts);
                 s.deadline =
                     Clock::now() + std::chrono::seconds(policy.timeoutSec);
-            }
-            const bool expired = deadlines && Clock::now() >= s.deadline;
-            if (!s.enqueued) {
                 sweepio::TaskRecord task;
                 task.id = s.taskId;
                 task.command = s.command;
                 task.result = s.result;
-                task.tenant = opts.tenant;
-                task.priority = opts.priority;
-                // Quota backpressure: a refused enqueue means the
-                // tenant already has quota-many live tasks, so wait
-                // for workers to drain some instead of overflowing its
-                // share of the queue. The wait counts against the
-                // attempt's timeout.
-                s.enqueued = queue.tryEnqueue(task).has_value();
-                if (!s.enqueued && !warned_quota) {
-                    cfl_warn("tenant \"%s\" is at its submission quota; "
-                             "waiting for headroom",
-                             opts.tenant.empty() ? "default"
-                                                 : opts.tenant.c_str());
-                    warned_quota = true;
-                }
-                if (!s.enqueued && expired)
-                    settle(s, index, 128 + SIGKILL, true, policy);
+                queue.enqueue(task);
             } else if (const auto done = queue.doneRecord(s.taskId)) {
                 settle(s, index, static_cast<int>(done->exitCode), false,
                        policy);
@@ -199,7 +177,7 @@ driveShards(queue::WorkQueue &queue, std::vector<Shard> &shards,
                 cfl_warn("task \"%s\" was quarantined as poison; giving "
                          "up on it", s.taskId.c_str());
                 settle(s, index, kExitQuarantined, false, policy);
-            } else if (expired) {
+            } else if (deadlines && Clock::now() >= s.deadline) {
                 // A claimed task cannot be stopped remotely; its late
                 // done record is simply never read.
                 queue.cancelTask(s.taskId);

@@ -45,7 +45,6 @@
 #define CFL_DISPATCH_DISPATCHER_HH
 
 #include <atomic>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -87,10 +86,6 @@ struct DispatchOptions
      *  (0 = workers are external). */
     unsigned workerThreads = 0;
     unsigned pollMs = 50;   ///< done-record poll interval
-    /** Tenant the tasks run as ("" = "default"). At the tenant's
-     *  submission quota the coordinator waits for headroom. */
-    std::string tenant;
-    std::int64_t priority = 0; ///< task priority (higher claims first)
     /** Set by the owner to abandon the wait (nullptr = never): see
      *  runDispatchedSweep. */
     const std::atomic<bool> *quit = nullptr;

@@ -8,13 +8,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "common/strings.hh"
 #include "fault/fault.hh"
 
 namespace cfl::queue
@@ -25,39 +23,29 @@ using sweepio::DoneRecord;
 using sweepio::LeaseRecord;
 using sweepio::QueueLogRecord;
 using sweepio::TaskRecord;
-using sweepio::TenantRecord;
 
 namespace
 {
 
 constexpr const char *kTaskSuffix = ".task";
-constexpr const char *kDefaultTenant = "default";
+/** Digits of the seq prefix of a task file name. */
+constexpr std::size_t kSeqDigits = 12;
 
-/** The scheduling inputs a task file name encodes. */
+/** A task file and the id its name encodes. */
 struct TaskFileInfo
 {
     std::string name; ///< full file name
     std::string id;
-    std::string tenant;
-    std::int64_t priority = 0;
-    std::uint64_t seq = 0;
 };
 
-/**
- * "p<prio key as 5 digits>-<seq as 12 digits>-<tenant>-<id>.task".
- * The priority key is (10000 - priority), so an ascending name sort
- * puts higher priorities first; tenants exclude '-', so the name
- * splits unambiguously even though ids contain dashes.
- */
+/** "<seq as 12 digits>-<id>.task": an ascending name sort is FIFO. */
 std::string
 taskFileName(const TaskRecord &task)
 {
     char prefix[32];
-    std::snprintf(prefix, sizeof(prefix), "p%05lld-%012llu-",
-                  static_cast<long long>(10000 - task.priority),
+    std::snprintf(prefix, sizeof(prefix), "%012llu-",
                   static_cast<unsigned long long>(task.seq));
-    return std::string(prefix) + task.tenant + "-" + task.id +
-           kTaskSuffix;
+    return std::string(prefix) + task.id + kTaskSuffix;
 }
 
 bool
@@ -71,10 +59,8 @@ allDigits(const std::string &text, std::size_t pos, std::size_t len)
     return true;
 }
 
-/**
- * Decode a task file name ("p<10000-prio>-<seq>-<tenant>-<id>.task");
- * nullopt for foreign files.
- */
+/** Decode a task file name ("<seq>-<id>.task"); nullopt for foreign
+ *  files. */
 std::optional<TaskFileInfo>
 parseTaskFileName(const std::string &name)
 {
@@ -85,27 +71,16 @@ parseTaskFileName(const std::string &name)
         return std::nullopt;
     const std::string stem = name.substr(0, name.size() - suffix_len);
 
-    if (stem.size() <= 20 || stem[0] != 'p' || stem[6] != '-' ||
-        stem[19] != '-' || !allDigits(stem, 1, 5) ||
-        !allDigits(stem, 7, 12))
-        return std::nullopt;
-    const std::size_t dash = stem.find('-', 20);
-    if (dash == std::string::npos || dash == 20 || dash + 1 >= stem.size())
+    if (stem.size() <= kSeqDigits + 1 || !allDigits(stem, 0, kSeqDigits) ||
+        stem[kSeqDigits] != '-')
         return std::nullopt;
     TaskFileInfo info;
     info.name = name;
-    info.priority = 10000 - std::stoll(stem.substr(1, 5));
-    info.seq = std::stoull(stem.substr(7, 12));
-    info.tenant = stem.substr(20, dash - 20);
-    info.id = stem.substr(dash + 1);
+    info.id = stem.substr(kSeqDigits + 1);
     return info;
 }
 
-/**
- * Every task file under @p dir, in claim-policy base order: priority
- * descending, then seq ascending (FIFO). The weighted-round-robin
- * tenant pick layers on top of this in claim().
- */
+/** Every task file under @p dir, in claim order (FIFO by seq). */
 std::vector<TaskFileInfo>
 scanTaskFiles(const std::string &dir)
 {
@@ -122,10 +97,6 @@ scanTaskFiles(const std::string &dir)
                   ec.message().c_str());
     std::sort(infos.begin(), infos.end(),
               [](const TaskFileInfo &a, const TaskFileInfo &b) {
-                  if (a.priority != b.priority)
-                      return a.priority > b.priority;
-                  if (a.seq != b.seq)
-                      return a.seq < b.seq;
                   return a.name < b.name;
               });
     return infos;
@@ -226,35 +197,10 @@ readFirstLine(const std::string &path)
     return line;
 }
 
-bool
-validNameChars(const std::string &name, bool allow_dash)
-{
-    if (name.empty() || name.size() > 64)
-        return false;
-    for (const char c : name) {
-        if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-            c == '.')
-            continue;
-        if (allow_dash && c == '-')
-            continue;
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
-WorkQueue::WorkQueue(std::string dir, std::string name)
-    : name_(std::move(name))
+WorkQueue::WorkQueue(std::string dir) : dir_(std::move(dir))
 {
-    if (name_.empty()) {
-        dir_ = std::move(dir);
-    } else {
-        if (!validQueueName(name_))
-            cfl_fatal("invalid queue name \"%s\" (want [A-Za-z0-9_.-], "
-                      "at most 64 chars)", name_.c_str());
-        dir_ = dir + "/queues/" + name_;
-    }
     for (const char *sub : {"", "/pending", "/claimed", "/leases",
                             "/done", "/cancelled", "/quarantine",
                             "/tmp"}) {
@@ -264,10 +210,6 @@ WorkQueue::WorkQueue(std::string dir, std::string name)
             cfl_fatal("cannot create queue directory \"%s%s\": %s",
                       dir_.c_str(), sub, ec.message().c_str());
     }
-    if (const char *after = std::getenv("CONFLUENCE_QUARANTINE_AFTER");
-        after != nullptr && *after != '\0')
-        quarantineAfter_ =
-            parseUnsignedFlag("CONFLUENCE_QUARANTINE_AFTER", after);
     // Resume sequence numbering past everything the log remembers, so a
     // restarted coordinator's task files sort after the survivors'.
     for (const QueueLogRecord &record : readLog())
@@ -286,22 +228,6 @@ WorkQueue::defaultDir()
 {
     const char *dir = std::getenv("CONFLUENCE_QUEUE_DIR");
     return (dir != nullptr && *dir != '\0') ? dir : ".confluence-queue";
-}
-
-bool
-WorkQueue::validQueueName(const std::string &name)
-{
-    // "." / ".." pass the charset but would escape queues/ as paths.
-    if (name == "." || name == "..")
-        return false;
-    return validNameChars(name, /*allow_dash=*/true);
-}
-
-bool
-WorkQueue::validTenantName(const std::string &tenant)
-{
-    // No '-': it is the task-file-name field separator.
-    return validNameChars(tenant, /*allow_dash=*/false);
 }
 
 std::uint64_t
@@ -332,18 +258,6 @@ WorkQueue::logPath() const
 }
 
 std::string
-WorkQueue::tenantsPath() const
-{
-    return dir_ + "/tenants.jsonl";
-}
-
-std::string
-WorkQueue::statsPath() const
-{
-    return dir_ + "/stats.jsonl";
-}
-
-std::string
 WorkQueue::leasePath(const std::string &id) const
 {
     return dir_ + "/leases/" + id + ".lease";
@@ -367,33 +281,6 @@ WorkQueue::uniqueTmpPath(const std::string &stem)
            "." + std::to_string(n);
 }
 
-bool
-WorkQueue::appendLine(const std::string &path, const std::string &line,
-                      const char *site)
-{
-    const int fd = ::open(path.c_str(),
-                          O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-                          0644);
-    if (fd < 0) {
-        cfl_warn("cannot open \"%s\": %s", path.c_str(),
-                 std::strerror(errno));
-        return false;
-    }
-    const std::string text = line + "\n";
-    const ssize_t written =
-        fault::faultWrite(fd, text.data(), text.size(), site);
-    if (written != static_cast<ssize_t>(text.size())) {
-        cfl_warn("failed appending to \"%s\": %s", path.c_str(),
-                 std::strerror(errno));
-        // Terminate any torn debris so the *next* append parses.
-        if (written > 0 && text[written - 1] != '\n')
-            (void)!::write(fd, "\n", 1);
-        ::close(fd);
-        return false;
-    }
-    return ::close(fd) == 0;
-}
-
 void
 WorkQueue::appendLog(const QueueLogRecord &record)
 {
@@ -402,7 +289,7 @@ WorkQueue::appendLog(const QueueLogRecord &record)
     // One descriptor per run, opened lazily; every record goes down in
     // a single O_APPEND write() so concurrent appenders (coordinator +
     // N worker processes) interleave at line granularity, not byte.
-    // The log is an audit trail plus a seq/strike/served memory; the
+    // The log is an audit trail plus a seq/strike memory; the
     // queue's *state* lives in the task/lease/done files. So append
     // failures degrade (warn, retry the open next time) instead of
     // killing the process — a torn line is skipped on load, a lost
@@ -456,101 +343,10 @@ WorkQueue::readLog() const
     return records;
 }
 
-std::map<std::string, TenantRecord>
-WorkQueue::readTenants() const
-{
-    std::map<std::string, TenantRecord> tenants;
-    std::ifstream in(tenantsPath());
-    if (!in)
-        return tenants;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        TenantRecord record;
-        if (!sweepio::tryDecodeTenant(line, &record)) {
-            cfl_warn("skipping unparseable line %zu of \"%s\" (torn "
-                     "append?)", lineno, tenantsPath().c_str());
-            continue;
-        }
-        tenants[record.tenant] = std::move(record); // last record wins
-    }
-    return tenants;
-}
-
-void
-WorkQueue::setTenant(const std::string &tenant, std::uint64_t weight,
-                     std::uint64_t quota)
-{
-    if (!validTenantName(tenant))
-        cfl_fatal("invalid tenant id \"%s\" (want [A-Za-z0-9_.], at "
-                  "most 64 chars)", tenant.c_str());
-    if (weight == 0 || weight > 1000000)
-        cfl_fatal("tenant weight must be in [1, 1000000], got %llu",
-                  static_cast<unsigned long long>(weight));
-    TenantRecord record;
-    record.tenant = tenant;
-    record.weight = weight;
-    record.quota = quota;
-    // Config that fails to persist is worse than a crash: a scheduler
-    // silently running with defaults would look like a fairness bug.
-    if (!appendLine(tenantsPath(), sweepio::encodeTenant(record),
-                    "queue.tenant.write"))
-        cfl_fatal("failed recording tenant \"%s\" in \"%s\"",
-                  tenant.c_str(), tenantsPath().c_str());
-}
-
-TenantRecord
-WorkQueue::tenantConfig(const std::string &tenant) const
-{
-    const std::map<std::string, TenantRecord> tenants = readTenants();
-    if (const auto it = tenants.find(tenant); it != tenants.end())
-        return it->second;
-    TenantRecord record;
-    record.tenant = tenant;
-    return record; // defaults: weight 1, no quota
-}
-
-void
-WorkQueue::normalizeTask(TaskRecord &task) const
-{
-    cfl_assert(!task.id.empty(), "a task needs an id");
-    if (task.tenant.empty())
-        task.tenant = kDefaultTenant;
-    if (!validTenantName(task.tenant))
-        cfl_fatal("invalid tenant id \"%s\" on task \"%s\" (want "
-                  "[A-Za-z0-9_.], at most 64 chars)",
-                  task.tenant.c_str(), task.id.c_str());
-    if (task.priority < kMinPriority || task.priority > kMaxPriority)
-        cfl_fatal("task \"%s\" priority %lld out of range [%lld, %lld]",
-                  task.id.c_str(),
-                  static_cast<long long>(task.priority),
-                  static_cast<long long>(kMinPriority),
-                  static_cast<long long>(kMaxPriority));
-}
-
 TaskRecord
 WorkQueue::enqueue(TaskRecord task)
 {
-    normalizeTask(task);
-    return enqueueNormalized(std::move(task));
-}
-
-std::optional<TaskRecord>
-WorkQueue::tryEnqueue(TaskRecord task)
-{
-    normalizeTask(task);
-    const TenantRecord config = tenantConfig(task.tenant);
-    if (config.quota != 0 && liveCount(task.tenant) >= config.quota)
-        return std::nullopt;
-    return enqueueNormalized(std::move(task));
-}
-
-TaskRecord
-WorkQueue::enqueueNormalized(TaskRecord task)
-{
+    cfl_assert(!task.id.empty(), "a task needs an id");
     {
         std::lock_guard<std::mutex> lock(mutex_);
         task.seq = nextSeq_++;
@@ -634,23 +430,6 @@ WorkQueue::claimedCount(const std::string &id_prefix) const
     return countTaskFiles(dir_ + "/claimed", id_prefix);
 }
 
-std::size_t
-WorkQueue::liveCount(const std::string &tenant) const
-{
-    std::size_t count = 0;
-    for (const char *sub : {"/pending", "/claimed"}) {
-        std::error_code ec;
-        for (const fs::directory_entry &entry :
-             fs::directory_iterator(dir_ + sub, ec)) {
-            const std::optional<TaskFileInfo> info =
-                parseTaskFileName(entry.path().filename().string());
-            if (info && info->tenant == tenant)
-                ++count;
-        }
-    }
-    return count;
-}
-
 std::optional<LeaseRecord>
 WorkQueue::readLease(const std::string &id) const
 {
@@ -676,88 +455,11 @@ WorkQueue::stealLease(const std::string &id)
     return true;
 }
 
-std::map<std::string, std::uint64_t>
-WorkQueue::servedCounts() const
-{
-    // "Served" = completed (done log records) + currently claimed.
-    // Counting live claims keeps concurrent workers from all picking
-    // the same starved tenant at once; counting the log keeps the
-    // measure cumulative, so a tenant that got a burst of service
-    // yields to one that waited. Lost log lines (torn appends under
-    // fault injection) only soften fairness, never correctness.
-    std::map<std::string, std::uint64_t> served;
-    for (const QueueLogRecord &record : readLog())
-        if (record.op == "done")
-            ++served[record.done.tenant.empty() ? kDefaultTenant
-                                                : record.done.tenant];
-    std::error_code ec;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(dir_ + "/claimed", ec))
-        if (const std::optional<TaskFileInfo> info =
-                parseTaskFileName(entry.path().filename().string()))
-            ++served[info->tenant];
-    return served;
-}
-
 std::optional<TaskClaim>
 WorkQueue::claim(const std::string &owner, unsigned lease_sec)
 {
     cfl_assert(lease_sec >= 1, "a lease needs a positive duration");
-    std::vector<TaskFileInfo> entries =
-        scanTaskFiles(dir_ + "/pending");
-    // The policy inputs beyond the directory scan are read lazily:
-    // the common cases (empty queue; single tenant) never pay for the
-    // log replay or the tenant config.
-    std::optional<std::map<std::string, std::uint64_t>> served;
-    std::optional<std::map<std::string, TenantRecord>> tenants;
-
-    while (!entries.empty()) {
-        // Tier 1 — strict priority: entries are sorted priority-major,
-        // so the top tier is a prefix.
-        std::size_t tier_end = 1;
-        while (tier_end < entries.size() &&
-               entries[tier_end].priority == entries[0].priority)
-            ++tier_end;
-
-        // Tier 2 — weighted round-robin across the tenants present:
-        // lowest served/weight ratio wins; ties break to the
-        // lexicographically smallest tenant (std::map order). Each
-        // tenant's candidate is its FIFO head (tier 3), i.e. its first
-        // entry in the seq-sorted tier.
-        std::map<std::string, std::size_t> head;
-        for (std::size_t i = 0; i < tier_end; ++i)
-            head.try_emplace(entries[i].tenant, i);
-        std::size_t pick = head.begin()->second;
-        if (head.size() > 1) {
-            if (!served)
-                served = servedCounts();
-            if (!tenants)
-                tenants = readTenants();
-            const std::string *best = nullptr;
-            std::uint64_t best_served = 0, best_weight = 1;
-            for (const auto &[tenant, index] : head) {
-                std::uint64_t s = 0;
-                if (const auto it = served->find(tenant);
-                    it != served->end())
-                    s = it->second;
-                std::uint64_t w = 1;
-                if (const auto it = tenants->find(tenant);
-                    it != tenants->end() && it->second.weight >= 1)
-                    w = it->second.weight;
-                // s/w < best_served/best_weight, cross-multiplied so
-                // the comparison stays exact in integers.
-                if (best == nullptr ||
-                    s * best_weight < best_served * w) {
-                    best = &tenant;
-                    best_served = s;
-                    best_weight = w;
-                    pick = index;
-                }
-            }
-        }
-
-        const TaskFileInfo info = entries[pick];
-        entries.erase(entries.begin() + pick);
+    for (const TaskFileInfo &info : scanTaskFiles(dir_ + "/pending")) {
         const std::string &name = info.name;
         const std::string &id = info.id;
         const std::string lease_path = leasePath(id);
@@ -890,8 +592,6 @@ WorkQueue::complete(const TaskClaim &claim, int exit_code)
         done.owner = claim.owner;
         done.exitCode = static_cast<std::uint64_t>(
             exit_code < 0 ? 255 : exit_code);
-        done.tenant = claim.task.tenant.empty() ? kDefaultTenant
-                                                : claim.task.tenant;
         const std::string tmp =
             uniqueTmpPath("done-" + claim.task.id);
         // A completion that cannot be published is NOT fatal — and,
@@ -1025,87 +725,6 @@ WorkQueue::reclaimCount(const std::string &id) const
         if (record.op == "reclaim" && record.task.id == id)
             ++count;
     return count;
-}
-
-sweepio::QueueStatusRecord
-WorkQueue::status() const
-{
-    sweepio::QueueStatusRecord st;
-    st.queue = name_;
-    st.atMs = nowMs();
-    st.stop = stopRequested();
-
-    const std::vector<TaskFileInfo> pending =
-        scanTaskFiles(dir_ + "/pending");
-    const std::vector<TaskFileInfo> claimed =
-        scanTaskFiles(dir_ + "/claimed");
-    st.pending = pending.size();
-    st.claimed = claimed.size();
-    st.cancelled = countTaskFiles(dir_ + "/cancelled");
-    st.quarantined = quarantinedCount();
-
-    std::error_code ec;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(dir_ + "/done", ec)) {
-        const std::string name = entry.path().filename().string();
-        if (name.size() > 5 &&
-            name.compare(name.size() - 5, std::string::npos, ".done") ==
-                0)
-            ++st.done;
-    }
-
-    // Pending depth per (tenant, priority), priority-major like the
-    // claim policy, tenants alphabetical within a tier.
-    std::map<std::pair<std::int64_t, std::string>, std::uint64_t>
-        depths;
-    for (const TaskFileInfo &info : pending)
-        ++depths[{-info.priority, info.tenant}];
-    for (const auto &[key, count] : depths) {
-        sweepio::QueueTenantDepth depth;
-        depth.tenant = key.second;
-        depth.priority = -key.first;
-        depth.pending = count;
-        st.depths.push_back(std::move(depth));
-    }
-
-    for (const TaskFileInfo &info : claimed) {
-        const std::optional<LeaseRecord> lease = readLease(info.id);
-        if (!lease)
-            continue; // released or mid-reclaim; the next pass settles
-        sweepio::QueueLeaseStatus ls;
-        ls.id = info.id;
-        ls.owner = lease->owner;
-        ls.tenant = info.tenant;
-        if (st.atMs > lease->sinceMs)
-            ls.heartbeatAgeMs = st.atMs - lease->sinceMs;
-        if (lease->deadlineMs > st.atMs)
-            ls.remainingMs = lease->deadlineMs - st.atMs;
-        st.leases.push_back(std::move(ls));
-    }
-
-    // Newest parseable cache-stats record wins; the file is tiny (one
-    // line per coordinator run).
-    std::ifstream in(statsPath());
-    std::string line;
-    while (in && std::getline(in, line)) {
-        sweepio::QueueCacheStats stats;
-        if (sweepio::tryDecodeQueueCacheStats(line, &stats))
-            st.cache = stats;
-    }
-    return st;
-}
-
-void
-WorkQueue::recordCacheStats(std::uint64_t hits, std::uint64_t misses)
-{
-    sweepio::QueueCacheStats stats;
-    stats.hits = hits;
-    stats.misses = misses;
-    stats.atMs = nowMs();
-    // Best-effort: the stats feed status dashboards, not scheduling.
-    (void)appendLine(statsPath(),
-                     sweepio::encodeQueueCacheStats(stats),
-                     "queue.stats.write");
 }
 
 std::size_t

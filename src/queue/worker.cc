@@ -114,11 +114,8 @@ runWorker(WorkQueue &queue, const WorkerOptions &opts)
         }
 
         const sweepio::TaskRecord &task = claim->task;
-        std::fprintf(stderr,
-                     "worker %s: claimed task %s (tenant %s, priority "
-                     "%lld)\n",
-                     owner, task.id.c_str(), task.tenant.c_str(),
-                     static_cast<long long>(task.priority));
+        std::fprintf(stderr, "worker %s: claimed task %s\n", owner,
+                     task.id.c_str());
         fault::checkpoint("worker.task.claimed");
         const Clock::time_point start = Clock::now();
 

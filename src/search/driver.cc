@@ -302,12 +302,10 @@ runSearch(const SearchOptions &opts, Evaluator &eval,
         return detail::runExhaustive(ctx);
     if (opts.strategy == "halving")
         return detail::runHalving(ctx);
-    if (opts.strategy == "descent")
-        return detail::runDescent(ctx);
     if (opts.strategy == "fuzz")
         return detail::runFuzzer(ctx);
     cfl_fatal("unknown search strategy \"%s\" (want exhaustive, "
-              "halving, descent, or fuzz)",
+              "halving, or fuzz)",
               opts.strategy.c_str());
 }
 

@@ -3,7 +3,7 @@
  * Adaptive design-space search over the content-addressed result
  * cache.
  *
- * One SearchDriver entry point (runSearch) dispatches between four
+ * One SearchDriver entry point (runSearch) dispatches between three
  * deterministic, seeded strategies:
  *
  *   exhaustive   every candidate, exact, one round — the reference
@@ -11,9 +11,6 @@
  *   halving      successive halving: screening rounds on growing
  *                workload prefixes (sampled by default), an eta-fold
  *                elimination per rung, exact finals for the survivors;
- *   descent      coordinate descent over the axis lattice from an
- *                incumbent per kind (or --start), exact scoring, move
- *                on strict improvement only;
  *   fuzz         a scenario fuzzer sampling randomized (candidate,
  *                workload, sampling) points from replayable per-trial
  *                seeds, asserting codec round-trips and metric sanity
@@ -49,7 +46,7 @@ namespace cfl::search
 /** Everything a strategy's decision sequence depends on. */
 struct SearchOptions
 {
-    std::string strategy; ///< "exhaustive"|"halving"|"descent"|"fuzz"
+    std::string strategy; ///< "exhaustive"|"halving"|"fuzz"
     DesignSpace space;
     std::vector<WorkloadId> workloads; ///< scoring set, in rung order
     RunScale scale;
@@ -60,7 +57,7 @@ struct SearchOptions
      * Point-request budget (0 = unlimited; fuzz defaults to 24
      * trials). Counted against *requested* evaluations — cache hits
      * included — so the same budget stops the same search at the same
-     * record no matter how warm the cache is. halving/descent stop
+     * record no matter how warm the cache is. halving stops
      * issuing further screening rounds once the budget is consumed;
      * halving's exact final round always completes.
      */
@@ -68,7 +65,6 @@ struct SearchOptions
     bool sampledScreening = true; ///< halving rungs use SMARTS sampling
     unsigned eta = 4;       ///< halving elimination factor (>= 2)
     unsigned finalists = 2; ///< halving exact-final survivor count
-    std::string startSlug;  ///< descent incumbent ("" = Table-1 per kind)
 };
 
 /** Point-evaluation backend a strategy talks to. */

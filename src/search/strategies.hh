@@ -50,7 +50,6 @@ struct StrategyContext
 
 SearchReport runExhaustive(StrategyContext &ctx);
 SearchReport runHalving(StrategyContext &ctx);
-SearchReport runDescent(StrategyContext &ctx);
 SearchReport runFuzzer(StrategyContext &ctx);
 
 } // namespace cfl::search::detail

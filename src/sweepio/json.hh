@@ -6,12 +6,10 @@
  * implementation serves every line-oriented store — sweep specs/results
  * (sweepio/codec.cc), the regression history (dispatch/history.cc), and
  * the work-queue task/lease records (sweepio/queue_codec.cc) — so a
- * parsing fix propagates to all of them. Signed integers (a '-'
- * directly before the digits) exist for the few fields that need them
- * (task priority); everything else stays unsigned. Malformed input is
- * fatal():
- * these files are machine-written, so any syntax error means
- * corruption, not user error worth recovering from.
+ * parsing fix propagates to all of them. Every number in these stores
+ * is an unsigned integer. Malformed input is fatal(): these files are
+ * machine-written, so any syntax error means corruption, not user
+ * error worth recovering from.
  */
 
 #ifndef CFL_SWEEPIO_JSON_HH
@@ -19,7 +17,6 @@
 
 #include <cctype>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -128,27 +125,6 @@ class MiniJsonParser
         }
     }
 
-    /** number() with an optional leading '-'. */
-    std::int64_t signedNumber()
-    {
-        skipSpace();
-        const bool negative = accept('-');
-        const std::uint64_t magnitude = number();
-        if (negative) {
-            if (magnitude > 1ull << 63)
-                fail("integer -" + std::to_string(magnitude) +
-                     " does not fit in a signed 64-bit field");
-            // Negate via the unsigned complement so -2^63 (whose
-            // magnitude has no int64 representation) stays defined.
-            return static_cast<std::int64_t>(~magnitude + 1);
-        }
-        if (magnitude > static_cast<std::uint64_t>(
-                            std::numeric_limits<std::int64_t>::max()))
-            fail("integer " + std::to_string(magnitude) +
-                 " does not fit in a signed 64-bit field");
-        return static_cast<std::int64_t>(magnitude);
-    }
-
     /** Key of the next "key": pair. */
     std::string key()
     {
@@ -170,12 +146,6 @@ class MiniJsonParser
     {
         namedKey(name);
         return number();
-    }
-
-    std::int64_t namedSignedNumber(const char *name)
-    {
-        namedKey(name);
-        return signedNumber();
     }
 
     std::string namedString(const char *name)

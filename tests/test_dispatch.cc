@@ -475,12 +475,20 @@ TEST(DispatchedSweep, TimedOutCommandIsKilledAndRetried)
 {
     const std::string dir = freshDir("timeout");
     const std::vector<SweepPoint> points = tinyGrid();
+    const std::string reference = referenceBytes(points);
+    const std::string precomputed = dir + "/reference.jsonl";
+    std::ofstream(precomputed) << reference;
     queue::WorkQueue queue(dir + "/queue");
     DispatchOptions opts;
     // The first attempt hangs; the thread running it kills it at the
-    // one-second limit and the retry runs for real.
+    // one-second limit. The limit applies to the retry too, so the
+    // retry copies the precomputed result instead of simulating: a
+    // sanitizer-built sweep can take a second on a loaded host.
+    // FailedAttemptIsRetriedAsAFreshTask covers a retry that runs the
+    // real sweep.
     opts.sweepBin = scriptedSweep(
-        dir, "[ -e \"$4.hung\" ] || { touch \"$4.hung\"; sleep 30; }");
+        dir, "if [ -e \"$4.hung\" ]; then cp " + shellQuote(precomputed) +
+                 " \"$4\"; exit 0; fi; touch \"$4.hung\"; sleep 30");
     opts.workerThreads = 1;
     opts.shards = 1;
     opts.retry.timeoutSec = 1;
@@ -488,7 +496,7 @@ TEST(DispatchedSweep, TimedOutCommandIsKilledAndRetried)
     DispatchStats stats;
     const SweepResult merged =
         runDispatchedSweep(points, queue, opts, nullptr, &stats);
-    EXPECT_EQ(sweepio::encodeResult(merged), referenceBytes(points));
+    EXPECT_EQ(sweepio::encodeResult(merged), reference);
     EXPECT_EQ(stats.attempts, 2u);
     bool saw_kill = false;
     for (const sweepio::QueueLogRecord &record : queue.readLog())

@@ -2,12 +2,12 @@
  * @file Tests for the persistent work queue: claim mutual exclusion
  * under racing threads (the lease + atomic-rename protocol), FIFO
  * ordering, lease-expiry reclamation on a fake clock, torn-append log
- * recovery, double-completion idempotence, dispatched sweeps served by
- * external worker loops (retry, tenant/priority stamping, quota
- * backpressure), and the headline crash contracts — a coordinator
- * killed mid-dispatch and restarted merges a result byte-identical to
- * the single-process run with no shard evaluated twice, and a restart
- * leaves another sweep sharing the queue untouched.
+ * recovery, double-completion idempotence, a dispatched sweep retried
+ * by external worker loops, and the headline crash contracts — a
+ * coordinator killed mid-dispatch and restarted merges a result
+ * byte-identical to the single-process run with no shard evaluated
+ * twice, and a restart leaves another sweep sharing the queue
+ * untouched.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -373,138 +372,62 @@ TEST(WorkQueue, TaskCompletedAfterReclaimIsRetiredNotRerun)
 }
 
 // ---------------------------------------------------------------------------
-// Multi-tenant claim policy: priority, weighted round-robin, FIFO
+// Claim order and task file names
 // ---------------------------------------------------------------------------
-
-namespace
-{
-
-sweepio::TaskRecord
-makeTenantTask(const std::string &id, const std::string &tenant,
-               std::int64_t priority)
-{
-    sweepio::TaskRecord task = makeTask(id);
-    task.tenant = tenant;
-    task.priority = priority;
-    return task;
-}
-
-} // namespace
-
-TEST(WorkQueue, ClaimOrderIsPriorityThenWeightedRoundRobinThenFifo)
-{
-    WorkQueue queue(freshDir("policy"));
-    queue.setTenant("a", 1, 0);
-    queue.setTenant("b", 1, 0);
-    queue.setTenant("heavy", 2, 0);
-
-    // Enqueue order deliberately scrambles the expected claim order.
-    queue.enqueue(makeTenantTask("a1", "a", 0));
-    queue.enqueue(makeTenantTask("a2", "a", 0));
-    queue.enqueue(makeTenantTask("h1", "heavy", 0));
-    queue.enqueue(makeTenantTask("h2", "heavy", 0));
-    queue.enqueue(makeTenantTask("h3", "heavy", 0));
-    queue.enqueue(makeTenantTask("b1", "b", 5));
-    queue.enqueue(makeTenantTask("a3", "a", 5));
-
-    // The policy, applied by hand:
-    //   tier 5 first (strict priority): a3 before b1 — both tenants
-    //     unserved, the served/weight tie breaks to the smaller name;
-    //   tier 0: heavy (weight 2) is owed twice the service of a, so
-    //     h1, h2 before the tie at ratio 1 goes to a1, then h3 brings
-    //     heavy to ratio 3/2 > 2/1... no — a is at 2/1 = 2 > 3/2, so
-    //     h3 precedes the final a2.
-    const std::vector<std::string> expected = {"a3", "b1", "h1", "h2",
-                                               "a1", "h3", "a2"};
-    for (const std::string &want : expected) {
-        auto claim = queue.claim("w", 60);
-        ASSERT_TRUE(claim.has_value());
-        EXPECT_EQ(claim->task.id, want);
-        queue.complete(*claim, 0);
-    }
-    EXPECT_EQ(queue.claim("w", 60), std::nullopt);
-}
 
 TEST(WorkQueue, ClaimOrderIsDeterministicAcrossInstances)
 {
-    // The policy is a pure function of the directory state, so a
-    // *fresh* instance (a separate worker process in real life) must
-    // claim the same pinned order the writer's instance would.
+    // Claims are FIFO by enqueue seq, a pure function of the directory
+    // state: a *fresh* instance (a separate worker process in real life)
+    // claims in the order another instance enqueued, and a restarted
+    // writer's tasks queue up behind the survivors. The ids sort in a
+    // different order on purpose.
     const std::string dir = freshDir("deterministic");
     {
-        WorkQueue setup(dir);
-        setup.setTenant("x", 1, 0);
-        setup.setTenant("y", 3, 0);
-        for (int i = 0; i < 4; ++i) {
-            setup.enqueue(makeTenantTask("x" + std::to_string(i), "x", 0));
-            setup.enqueue(makeTenantTask("y" + std::to_string(i), "y", 0));
-        }
+        WorkQueue writer(dir);
+        for (const char *id : {"z0", "a0", "m0"})
+            writer.enqueue(makeTask(id));
     }
-    // Weight 3 earns y three claims per x claim while both have work;
-    // served/weight ties break to the smaller tenant name, so x0 leads.
-    const std::vector<std::string> expected = {"x0", "y0", "y1", "y2",
-                                               "x1", "y3", "x2", "x3"};
+    WorkQueue writer(dir);
+    writer.enqueue(makeTask("b1"));
+    writer.enqueue(makeTask("a1"));
+
     WorkQueue observer(dir);
-    for (const std::string &want : expected) {
-        auto claim = observer.claim("probe", 60);
+    const std::vector<std::string> expected = {"z0", "a0", "m0", "b1",
+                                               "a1"};
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        WorkQueue &claimer = i % 2 == 0 ? observer : writer;
+        auto claim = claimer.claim("probe", 60);
         ASSERT_TRUE(claim.has_value());
-        EXPECT_EQ(claim->task.id, want);
-        observer.complete(*claim, 0);
+        EXPECT_EQ(claim->task.id, expected[i]);
+        claimer.complete(*claim, 0);
     }
     EXPECT_EQ(observer.claim("probe", 60), std::nullopt);
 }
 
-TEST(WorkQueue, QuotaBoundsLiveTasksAndReleasesOnCompletion)
+TEST(WorkQueue, ServiceEraTaskFilesAreForeign)
 {
-    WorkQueue queue(freshDir("quota"));
-    queue.setTenant("capped", 1, 2);
-
-    ASSERT_TRUE(queue.tryEnqueue(makeTenantTask("c1", "capped", 0)));
-    ASSERT_TRUE(queue.tryEnqueue(makeTenantTask("c2", "capped", 0)));
-    // Third live task: refused, nothing published.
-    EXPECT_FALSE(queue.tryEnqueue(makeTenantTask("c3", "capped", 0)));
-    EXPECT_EQ(queue.pendingCount(), 2u);
-    EXPECT_EQ(queue.liveCount("capped"), 2u);
-
-    // A *claimed* task still counts against the quota...
-    auto claim = queue.claim("w", 60);
-    ASSERT_TRUE(claim.has_value());
-    EXPECT_FALSE(queue.tryEnqueue(makeTenantTask("c3", "capped", 0)));
-    // ...a *completed* one does not.
-    queue.complete(*claim, 0);
-    EXPECT_TRUE(queue.tryEnqueue(makeTenantTask("c3", "capped", 0)));
-
-    // Unconfigured tenants are unbounded, and enqueue() (the
-    // non-quota path) ignores quotas by contract.
-    EXPECT_TRUE(queue.tryEnqueue(makeTenantTask("free", "other", 0)));
-    queue.enqueue(makeTenantTask("c4", "capped", 0));
-    EXPECT_EQ(queue.liveCount("capped"), 3u);
-}
-
-TEST(WorkQueue, LegacySingleTenantTaskFilesAreForeign)
-{
-    // What the single-tenant code wrote: a "<seq>-<id>.task" file and
-    // a log line without tenant/priority. The file is not a task name,
-    // so it is ignored like any stray file (never claimed, never
-    // counted, left in place); the log line is skipped as malformed.
-    const std::string dir = freshDir("legacy");
+    // What the queue wrote before claims became plain FIFO: task
+    // files named "p<sort key>-<seq>-<submitter>-<id>.task". Such a
+    // name is not a task name any more, so the file is ignored like any
+    // stray file: never claimed, counted or cancelled, left in place.
+    const std::string dir = freshDir("service_era");
     {
         WorkQueue layout(dir); // creates the directory skeleton
     }
-    const std::string legacy = dir + "/pending/000000000000-old-task.task";
+    const std::string old_task =
+        dir + "/pending/p10000-000000000000-default-x.task";
     {
-        std::ofstream task(legacy);
-        task << "{\"id\":\"old-task\",\"seq\":0,\"command\":\"true\","
+        std::ofstream task(old_task);
+        task << "{\"id\":\"x\",\"seq\":0,\"command\":\"true\","
                 "\"result\":\"\"}\n";
-        std::ofstream log(dir + "/tasks.jsonl", std::ios::app);
-        log << "{\"op\":\"enqueue\",\"task\":{\"id\":\"old-task\","
-               "\"seq\":0,\"command\":\"true\",\"result\":\"\"}}\n";
     }
 
     WorkQueue queue(dir);
     EXPECT_EQ(queue.pendingCount(), 0u);
-    EXPECT_TRUE(queue.readLog().empty());
     EXPECT_FALSE(queue.claim("w", 60).has_value());
+    EXPECT_EQ(queue.cancelPending(), 0u);
+    EXPECT_FALSE(queue.cancelTask("x"));
 
     queue.enqueue(makeTask("new-task"));
     auto first = queue.claim("w", 60);
@@ -512,176 +435,8 @@ TEST(WorkQueue, LegacySingleTenantTaskFilesAreForeign)
     EXPECT_EQ(first->task.id, "new-task");
     queue.complete(*first, 0);
     EXPECT_FALSE(queue.claim("w", 60).has_value());
-    EXPECT_FALSE(queue.doneRecord("old-task").has_value());
-    EXPECT_TRUE(fs::exists(legacy));
-}
-
-TEST(WorkQueue, NoTenantStarvesWhileAnotherFloodsTheQueue)
-{
-    // One tenant floods 24 tasks at the same priority as two small
-    // tenants (3 tasks each, equal weights). Weighted round-robin must
-    // interleave: the small tenants finish well before the flood does,
-    // instead of waiting behind its backlog. (The flood is same-
-    // priority deliberately — at *higher* priority, waiting is the
-    // strict-priority contract, not starvation.)
-    const std::string dir = freshDir("starve");
-    constexpr unsigned kFlood = 24, kSmall = 3, kTotal = kFlood + 2 * kSmall;
-    {
-        WorkQueue setup(dir);
-        for (unsigned i = 0; i < kFlood; ++i)
-            setup.enqueue(
-                makeTenantTask("f" + std::to_string(i), "flood", 0));
-        for (unsigned i = 0; i < kSmall; ++i) {
-            setup.enqueue(
-                makeTenantTask("alice" + std::to_string(i), "alice", 0));
-            setup.enqueue(
-                makeTenantTask("bob" + std::to_string(i), "bob", 0));
-        }
-    }
-
-    // Each claim is recorded under the same lock that orders it, so the
-    // recorded order is the order the policy chose. Recording after
-    // complete() measured the scheduler instead: a thread descheduled
-    // between its claim and its record (common on a loaded sanitizer
-    // run) landed a small tenant's task far behind flood tasks claimed
-    // after it. Completions still race with claims, so the policy
-    // still sees other workers' claimed-but-unfinished tasks.
-    std::mutex mutex;
-    std::vector<std::string> claim_order;
-    std::atomic<unsigned> completed{0};
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < 3; ++t) {
-        threads.emplace_back([&, t] {
-            WorkQueue queue(dir);
-            const std::string owner = "w" + std::to_string(t);
-            while (completed.load() < kTotal) {
-                std::optional<TaskClaim> claim;
-                {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    claim = queue.claim(owner, 60);
-                    if (claim)
-                        claim_order.push_back(claim->task.id);
-                }
-                if (!claim) {
-                    std::this_thread::yield();
-                    continue;
-                }
-                queue.complete(*claim, 0);
-                ++completed;
-            }
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-
-    ASSERT_EQ(claim_order.size(), kTotal);
-    std::size_t last_small = 0;
-    for (std::size_t i = 0; i < claim_order.size(); ++i)
-        if (claim_order[i][0] != 'f')
-            last_small = i;
-    // Round-robin across three equal tenants serves both small tenants
-    // within roughly the first third of claims; they must land well
-    // inside the first half, not behind the flood's 24-task backlog.
-    EXPECT_LT(last_small, kTotal / 2)
-        << "a small tenant starved behind the flooding tenant";
-}
-
-// ---------------------------------------------------------------------------
-// Status snapshots and named queues
-// ---------------------------------------------------------------------------
-
-TEST(WorkQueue, StatusSnapshotReportsDepthsLeasesAndCounts)
-{
-    const std::string dir = freshDir("status");
-    g_fakeNowMs = 1'000'000;
-    WorkQueue queue(dir);
-    queue.setClockForTesting(&fakeNow);
-
-    queue.enqueue(makeTenantTask("s1", "a", 0));
-    queue.enqueue(makeTenantTask("s2", "a", 0));
-    queue.enqueue(makeTenantTask("s3", "b", 5));
-    queue.enqueue(makeTenantTask("s4", "b", 0));
-
-    auto claim = queue.claim("w1", 60); // s3: highest priority
-    ASSERT_TRUE(claim.has_value());
-    ASSERT_EQ(claim->task.id, "s3");
-    ASSERT_TRUE(queue.cancelTask("s4"));
-    g_fakeNowMs += 2'000;
-    queue.recordCacheStats(10, 5);
-
-    sweepio::QueueStatusRecord st = queue.status();
-    EXPECT_EQ(st.queue, "");
-    EXPECT_EQ(st.atMs, g_fakeNowMs.load());
-    EXPECT_FALSE(st.stop);
-    EXPECT_EQ(st.pending, 2u);
-    EXPECT_EQ(st.claimed, 1u);
-    EXPECT_EQ(st.done, 0u);
-    EXPECT_EQ(st.cancelled, 1u);
-    EXPECT_EQ(st.quarantined, 0u);
-    ASSERT_EQ(st.depths.size(), 1u); // one (tenant, priority) bucket left
-    EXPECT_EQ(st.depths[0].tenant, "a");
-    EXPECT_EQ(st.depths[0].priority, 0);
-    EXPECT_EQ(st.depths[0].pending, 2u);
-    ASSERT_EQ(st.leases.size(), 1u);
-    EXPECT_EQ(st.leases[0].id, "s3");
-    EXPECT_EQ(st.leases[0].owner, "w1");
-    EXPECT_EQ(st.leases[0].tenant, "b");
-    EXPECT_EQ(st.leases[0].heartbeatAgeMs, 2'000u);
-    EXPECT_EQ(st.leases[0].remainingMs, 58'000u);
-    EXPECT_EQ(st.cache.hits, 10u);
-    EXPECT_EQ(st.cache.misses, 5u);
-
-    // Heartbeats refresh the lease age the snapshot reports.
-    ASSERT_TRUE(queue.heartbeat(*claim, 60));
-    g_fakeNowMs += 500;
-    st = queue.status();
-    ASSERT_EQ(st.leases.size(), 1u);
-    EXPECT_EQ(st.leases[0].heartbeatAgeMs, 500u);
-
-    queue.complete(*claim, 0);
-    queue.requestStop();
-    st = queue.status();
-    EXPECT_TRUE(st.stop);
-    EXPECT_EQ(st.done, 1u);
-    EXPECT_EQ(st.claimed, 0u);
-    EXPECT_TRUE(st.leases.empty());
-
-    // The snapshot round-trips through its wire format unchanged.
-    const sweepio::QueueStatusRecord wire =
-        sweepio::decodeQueueStatus(sweepio::encodeQueueStatus(st));
-    EXPECT_EQ(sweepio::encodeQueueStatus(wire),
-              sweepio::encodeQueueStatus(st));
-}
-
-TEST(WorkQueue, NamedQueuesAreIndependent)
-{
-    const std::string dir = freshDir("named");
-    WorkQueue root(dir);
-    WorkQueue nightly(dir, "nightly-batch");
-    EXPECT_EQ(nightly.name(), "nightly-batch");
-    EXPECT_EQ(nightly.dir(), dir + "/queues/nightly-batch");
-
-    nightly.enqueue(makeTask("n1"));
-    EXPECT_EQ(root.pendingCount(), 0u); // invisible to the root queue
-    EXPECT_EQ(nightly.pendingCount(), 1u);
-    EXPECT_EQ(root.claim("w", 60), std::nullopt);
-
-    // Stop markers are per-queue too.
-    root.requestStop();
-    EXPECT_FALSE(nightly.stopRequested());
-
-    auto claim = nightly.claim("w", 60);
-    ASSERT_TRUE(claim.has_value());
-    EXPECT_EQ(claim->task.id, "n1");
-    nightly.complete(*claim, 0);
-
-    EXPECT_TRUE(WorkQueue::validQueueName("nightly-batch"));
-    EXPECT_FALSE(WorkQueue::validQueueName("no/slashes"));
-    EXPECT_FALSE(WorkQueue::validQueueName(""));
-    EXPECT_FALSE(WorkQueue::validQueueName(".."));
-    EXPECT_TRUE(WorkQueue::validTenantName("team_a.prod"));
-    EXPECT_FALSE(WorkQueue::validTenantName("no-dashes"));
-    EXPECT_FALSE(WorkQueue::validTenantName(""));
+    EXPECT_FALSE(queue.doneRecord("x").has_value());
+    EXPECT_TRUE(fs::exists(old_task));
 }
 
 // ---------------------------------------------------------------------------
@@ -748,58 +503,6 @@ TEST(QueueDispatch, RetriesAFailedShardThroughAFreshTask)
     for (const sweepio::QueueLogRecord &record : queue.readLog())
         failed += record.op == "done" && record.done.exitCode == 9;
     EXPECT_EQ(failed, 2u);
-}
-
-TEST(QueueDispatch, StampsTasksWithTenantAndPriorityAndHonorsQuota)
-{
-    const std::string dir = freshDir("dispatch_tenant");
-    WorkQueue queue(dir);
-    queue.setTenant("svc", 2, 1);
-    const std::vector<SweepPoint> points = tinyGrid();
-
-    dispatch::DispatchOptions opts;
-    opts.sweepBin = CFL_SWEEP_BIN;
-    opts.shards = 3;
-    opts.pollMs = 5;
-    opts.tenant = "svc";
-    opts.priority = 3;
-    SweepResult merged;
-    {
-        WorkerThread w1(queue, "w1"), w2(queue, "w2");
-        merged = dispatch::runDispatchedSweep(points, queue, opts, nullptr,
-                                              nullptr);
-    }
-    EXPECT_EQ(sweepio::encodeResult(merged), referenceBytes(points));
-
-    // Every task carried the dispatch's tenant and priority, and the
-    // quota of one live task held throughout: the coordinator waited
-    // for each completion before submitting the next shard.
-    std::size_t enqueues = 0, live = 0, max_live = 0;
-    for (const sweepio::QueueLogRecord &record : queue.readLog()) {
-        if (record.op == "enqueue") {
-            ++enqueues;
-            EXPECT_EQ(record.task.tenant, "svc");
-            EXPECT_EQ(record.task.priority, 3);
-            max_live = std::max(max_live, ++live);
-        } else if (record.op == "done") {
-            --live;
-        }
-    }
-    EXPECT_EQ(enqueues, 3u);
-    EXPECT_EQ(max_live, 1u);
-
-    // And the quota wait counts against the attempt's timeout instead
-    // of overflowing: with no worker left, a filler task pins the
-    // tenant at its cap for the whole wait.
-    queue.enqueue(makeTenantTask("filler", "svc", -1));
-    opts.retry.timeoutSec = 1;
-    opts.retry.maxAttempts = 1;
-    EXPECT_EXIT(dispatch::runDispatchedSweep(tinyGrid(WorkloadId::OltpDb2),
-                                             queue, opts, nullptr, nullptr),
-                ::testing::ExitedWithCode(1),
-                "at its submission quota.*failed after 1 "
-                "attempt\\(s\\) \\(last exit 137, timed out\\)");
-    EXPECT_EQ(queue.liveCount("svc"), 1u);
 }
 
 // ---------------------------------------------------------------------------

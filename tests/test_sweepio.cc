@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "dispatch/history.hh"
 #include "dispatch/result_cache.hh"
+#include "queue/queue.hh"
 #include "sim/metrics.hh"
 #include "sweepio/codec.hh"
 #include "sweepio/digest.hh"
@@ -257,11 +259,13 @@ TEST(SweepioQueueCodec, RecordsRoundTripIncludingEscapedStrings)
     EXPECT_EQ(task_back.command, task.command);
     EXPECT_EQ(task_back.result, task.result);
 
-    LeaseRecord lease{"task-1", "host\\9:123", 1234567890123ull};
+    LeaseRecord lease{"task-1", "host\\9:123", 1234567890123ull,
+                      1234567830123ull};
     LeaseRecord lease_back = decodeLease(encodeLease(lease));
     EXPECT_EQ(lease_back.id, lease.id);
     EXPECT_EQ(lease_back.owner, lease.owner);
     EXPECT_EQ(lease_back.deadlineMs, lease.deadlineMs);
+    EXPECT_EQ(lease_back.sinceMs, lease.sinceMs);
 
     DoneRecord done{"task-1", "worker\"2", 137};
     DoneRecord done_back = decodeDone(encodeDone(done));
@@ -295,143 +299,71 @@ TEST(SweepioQueueCodec, RecordsRoundTripIncludingEscapedStrings)
                 ::testing::ExitedWithCode(1), "control byte");
 }
 
-TEST(SweepioQueueCodec, MultiTenantFieldsRoundTrip)
+TEST(SweepioQueueCodec, ServiceEraLinesAreMalformed)
 {
-    // The multi-tenant fields, including signed-priority extremes.
-    for (const std::int64_t priority : {-9999ll, -1ll, 0ll, 9999ll}) {
-        TaskRecord task;
-        task.id = "feedface-r0-a1";
-        task.seq = 3;
-        task.command = "true";
-        task.tenant = "team_a.prod";
-        task.priority = priority;
-        const TaskRecord back = decodeTask(encodeTask(task));
-        EXPECT_EQ(back.tenant, task.tenant);
-        EXPECT_EQ(back.priority, priority);
-    }
-
-    DoneRecord done{"feedface-r0-a1", "w:9", 0, "team_a.prod"};
-    const DoneRecord done_back = decodeDone(encodeDone(done));
-    EXPECT_EQ(done_back.tenant, "team_a.prod");
-
-    LeaseRecord lease{"feedface-r0-a1", "w:9", 170000000123ull,
-                      170000000001ull};
-    const LeaseRecord lease_back = decodeLease(encodeLease(lease));
-    EXPECT_EQ(lease_back.sinceMs, 170000000001ull);
-
-    TenantRecord tenant{"team_a.prod", 7, 64};
-    const TenantRecord tenant_back = decodeTenant(encodeTenant(tenant));
-    EXPECT_EQ(tenant_back.tenant, tenant.tenant);
-    EXPECT_EQ(tenant_back.weight, 7u);
-    EXPECT_EQ(tenant_back.quota, 64u);
-
-    QueueCacheStats stats{123, 456, 1700000000000ull};
-    const QueueCacheStats stats_back =
-        decodeQueueCacheStats(encodeQueueCacheStats(stats));
-    EXPECT_EQ(stats_back.hits, 123u);
-    EXPECT_EQ(stats_back.misses, 456u);
-    EXPECT_EQ(stats_back.atMs, 1700000000000ull);
-}
-
-TEST(SweepioQueueCodec, LegacySingleTenantLinesAreMalformed)
-{
-    // Byte-for-byte what the single-tenant code wrote: no tenant, no
-    // priority, no since_ms. Every field is required, so these fail to
-    // decode like any torn or malformed line.
+    // Byte-for-byte what the queue wrote before claims became plain
+    // FIFO: tasks and done records carried scheduling fields. No field
+    // beyond the current layout is accepted, so these fail to decode
+    // like any torn or malformed line.
+    const std::string old_task =
+        "{\"id\":\"cafe-r0-a0\",\"seq\":7,\"command\":\"true\","
+        "\"result\":\"\",\"tenant\":\"default\",\"priority\":-3}";
     TaskRecord task;
-    EXPECT_FALSE(tryDecodeTask(
-        "{\"id\":\"cafe-r0-a0\",\"seq\":7,\"command\":\"true\","
-        "\"result\":\"\"}",
-        &task));
-    // A tenant without a priority is just as incomplete.
-    EXPECT_FALSE(tryDecodeTask(
-        "{\"id\":\"cafe-r0-a0\",\"seq\":7,\"command\":\"true\","
-        "\"result\":\"\",\"tenant\":\"default\"}",
-        &task));
-
+    EXPECT_FALSE(tryDecodeTask(old_task, &task));
     DoneRecord done;
     EXPECT_FALSE(tryDecodeDone(
-        "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\",\"exit\":137}",
+        "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\",\"exit\":137,"
+        "\"tenant\":\"default\"}",
         &done));
-
+    const std::string old_log =
+        "{\"op\":\"enqueue\",\"task\":" + old_task + "}";
+    QueueLogRecord log;
+    EXPECT_FALSE(tryDecodeQueueLog(old_log, &log));
+    // A lease without since_ms is just as incomplete.
     LeaseRecord lease;
     EXPECT_FALSE(tryDecodeLease(
         "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\","
         "\"deadline_ms\":99}",
         &lease));
 
-    // An old-style log line multiplexing an old-style task record.
-    QueueLogRecord log;
-    EXPECT_FALSE(tryDecodeQueueLog(
-        "{\"op\":\"enqueue\",\"task\":{\"id\":\"cafe-r0-a0\","
-        "\"seq\":7,\"command\":\"true\",\"result\":\"\"}}",
-        &log));
-
-    // The same records with every field present decode.
+    // The same records in the current layout decode.
     EXPECT_TRUE(tryDecodeTask(
         "{\"id\":\"cafe-r0-a0\",\"seq\":7,\"command\":\"true\","
-        "\"result\":\"\",\"tenant\":\"default\",\"priority\":0}",
+        "\"result\":\"\"}",
         &task));
     EXPECT_TRUE(tryDecodeDone(
-        "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\",\"exit\":137,"
-        "\"tenant\":\"default\"}",
+        "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\",\"exit\":137}",
         &done));
     EXPECT_TRUE(tryDecodeLease(
         "{\"id\":\"cafe-r0-a0\",\"owner\":\"h:1\","
         "\"deadline_ms\":99,\"since_ms\":1}",
         &lease));
-}
 
-TEST(SweepioQueueCodec, QueueStatusRoundTrips)
-{
-    // Empty snapshot: a fresh queue with no tenants or leases.
-    QueueStatusRecord empty;
-    empty.queue = "";
-    empty.atMs = 1700000000000ull;
-    const QueueStatusRecord empty_back =
-        decodeQueueStatus(encodeQueueStatus(empty));
-    EXPECT_EQ(empty_back.queue, "");
-    EXPECT_TRUE(empty_back.depths.empty());
-    EXPECT_TRUE(empty_back.leases.empty());
-
-    // Fully populated, with a negative priority in a depth bucket.
-    QueueStatusRecord st;
-    st.queue = "nightly-batch";
-    st.atMs = 1700000000123ull;
-    st.stop = true;
-    st.pending = 5;
-    st.claimed = 2;
-    st.done = 100;
-    st.cancelled = 3;
-    st.quarantined = 1;
-    st.depths.push_back({"team_a", 10, 4});
-    st.depths.push_back({"team_b", -5, 1});
-    st.leases.push_back({"cafe-r0-a0", "w\"1", "team_a", 1500, 58500});
-    st.leases.push_back({"cafe-r0-a1", "w:2", "team_b", 0, 0});
-    st.cache = {12, 34, 1700000000100ull};
-    const QueueStatusRecord back =
-        decodeQueueStatus(encodeQueueStatus(st));
-    EXPECT_EQ(back.queue, st.queue);
-    EXPECT_EQ(back.atMs, st.atMs);
-    EXPECT_EQ(back.stop, true);
-    EXPECT_EQ(back.pending, 5u);
-    EXPECT_EQ(back.claimed, 2u);
-    EXPECT_EQ(back.done, 100u);
-    EXPECT_EQ(back.cancelled, 3u);
-    EXPECT_EQ(back.quarantined, 1u);
-    ASSERT_EQ(back.depths.size(), 2u);
-    EXPECT_EQ(back.depths[1].tenant, "team_b");
-    EXPECT_EQ(back.depths[1].priority, -5);
-    EXPECT_EQ(back.depths[1].pending, 1u);
-    ASSERT_EQ(back.leases.size(), 2u);
-    EXPECT_EQ(back.leases[0].owner, "w\"1");
-    EXPECT_EQ(back.leases[0].heartbeatAgeMs, 1500u);
-    EXPECT_EQ(back.leases[0].remainingMs, 58500u);
-    EXPECT_EQ(back.cache.hits, 12u);
-    EXPECT_EQ(back.cache.misses, 34u);
-    // Stable encoding: re-encoding the decoded record reproduces the
-    // bytes, so snapshot artifacts diff cleanly.
-    EXPECT_EQ(encodeQueueStatus(back), encodeQueueStatus(st));
+    // A queue log holding such a line loads the rest and skips that
+    // line with the torn-append warning.
+    const std::string dir = tmpPath("service_era_queue");
+    std::filesystem::remove_all(dir);
+    {
+        queue::WorkQueue writer(dir);
+        TaskRecord fresh;
+        fresh.id = "fresh";
+        fresh.command = "true";
+        writer.enqueue(fresh);
+    }
+    {
+        std::ofstream out(dir + "/tasks.jsonl", std::ios::app);
+        out << old_log << '\n';
+    }
+    queue::WorkQueue reader(dir);
+    ::testing::internal::CaptureStderr();
+    const std::vector<QueueLogRecord> records = reader.readLog();
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].task.id, "fresh");
+    EXPECT_NE(warnings.find("skipping unparseable line 2"),
+              std::string::npos)
+        << warnings;
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -578,17 +510,6 @@ storeLines()
     task.command = "'/b in/sweep' --points 'it'\\''s.jsonl' --out "
                    "'o\"ut\\.jsonl'";
     task.result = "o\"ut\\.jsonl";
-    task.tenant = "team_a";
-    task.priority = -42; // the sign must survive truncation fuzzing too
-
-    QueueStatusRecord status;
-    status.queue = "nightly";
-    status.atMs = 1700000000123ull;
-    status.pending = 2;
-    status.depths.push_back({"team_a", -42, 2});
-    status.leases.push_back({"deadbeef-r0-a0", "host:42", "team_a",
-                             1500, 58500});
-    status.cache = {12, 34, 1700000000100ull};
 
     std::vector<std::string> lines = {
         encodeCacheEntry({std::string(16, 'a'), outcome}),
@@ -597,11 +518,8 @@ storeLines()
         encodeTask(task),
         encodeLease({"deadbeef-r0-a0", "host:42", 99999999ull,
                      99990000ull}),
-        encodeDone({"deadbeef-r0-a0", "host:42", 4, "team_a"}),
+        encodeDone({"deadbeef-r0-a0", "host:42", 4}),
         encodeQueueLog({"enqueue", task, {}}),
-        encodeTenant({"team_a", 3, 16}),
-        encodeQueueCacheStats({12, 34, 1700000000100ull}),
-        encodeQueueStatus(status),
         // A history line in the documented dispatch/history.hh format.
         "{\"tag\":\"commit-a\",\"entries\":[{\"kind\":\"confluence\","
         "\"geomean_bits\":4607863817060079104,"
@@ -643,15 +561,6 @@ TEST(SweepioFuzz, EveryTruncationOffsetIsRejectedWithoutCrashing)
             QueueLogRecord log;
             EXPECT_FALSE(tryDecodeQueueLog(torn, &log))
                 << "queue log accepted a torn line at offset " << cut;
-            TenantRecord tenant;
-            EXPECT_FALSE(tryDecodeTenant(torn, &tenant))
-                << "tenant accepted a torn line at offset " << cut;
-            QueueCacheStats stats;
-            EXPECT_FALSE(tryDecodeQueueCacheStats(torn, &stats))
-                << "cache stats accepted a torn line at offset " << cut;
-            QueueStatusRecord status;
-            EXPECT_FALSE(tryDecodeQueueStatus(torn, &status))
-                << "queue status accepted a torn line at offset " << cut;
             SearchRecord search;
             EXPECT_FALSE(tryDecodeSearchRecord(torn, &search))
                 << "search record accepted a torn line at offset " << cut;
@@ -662,12 +571,8 @@ TEST(SweepioFuzz, EveryTruncationOffsetIsRejectedWithoutCrashing)
     EXPECT_TRUE(tryDecodeCacheEntry(storeLines()[0], &entry));
     TaskRecord task;
     EXPECT_TRUE(tryDecodeTask(storeLines()[3], &task));
-    TenantRecord tenant;
-    EXPECT_TRUE(tryDecodeTenant(storeLines()[7], &tenant));
-    QueueStatusRecord status;
-    EXPECT_TRUE(tryDecodeQueueStatus(storeLines()[9], &status));
-    SearchRecord search; // 11..15 are the search.jsonl record types
-    EXPECT_TRUE(tryDecodeSearchRecord(storeLines()[11], &search));
+    SearchRecord search; // 8..12 are the search.jsonl record types
+    EXPECT_TRUE(tryDecodeSearchRecord(storeLines()[8], &search));
     EXPECT_EQ(search.type, "header");
 }
 

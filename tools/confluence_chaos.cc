@@ -105,7 +105,6 @@ usage(const char *argv0)
         "     [--shards N] [--rate F] [--lease SEC]\n"
         "     [--max-restarts N] [--timeout SEC] [--replay SEED] "
         "[--keep]\n"
-        "     [--status-out FILE]\n"
         "  %s --serve-ref ref.jsonl --points spec.jsonl [--shard i/N]\n"
         "     --out out.jsonl\n"
         "exit codes: 0 all schedules ok and replay reproduced, 1 any\n"
@@ -167,7 +166,6 @@ struct ChaosOptions
     unsigned maxRestarts = 10;
     unsigned timeoutSec = 30;
     bool keep = false;
-    std::string statusOut; ///< append a queue-status line per schedule
 };
 
 pid_t
@@ -660,19 +658,6 @@ runSchedule(const ChaosOptions &opts, std::uint64_t sched_seed,
 {
     ScheduleRunner runner(opts, sched_seed, dir, workers);
     ScheduleResult result = runner.run();
-    if (!opts.statusOut.empty()) {
-        // Post-mortem queue snapshot, before the schedule dir is torn
-        // down: on a clean schedule every depth is zero, so nonzero
-        // numbers in the artifact point straight at the failure.
-        queue::WorkQueue queue(dir + "/queue");
-        std::ofstream status(opts.statusOut, std::ios::app);
-        if (status)
-            status << sweepio::encodeQueueStatus(queue.status())
-                   << "\n";
-        else
-            cfl_warn("cannot append queue status to \"%s\"",
-                     opts.statusOut.c_str());
-    }
     std::string kinds_csv;
     for (const fault::Kind k : scheduleKinds(sched_seed)) {
         if (!kinds_csv.empty())
@@ -819,8 +804,6 @@ main(int argc, char **argv)
             replay_seed = std::strtoull(value().c_str(), nullptr, 10);
         else if (arg == "--keep")
             opts.keep = true;
-        else if (arg == "--status-out")
-            opts.statusOut = value();
         else
             usage(argv[0]);
     }
@@ -847,8 +830,6 @@ main(int argc, char **argv)
     opts.dispatchBin = fs::absolute(opts.dispatchBin).string();
     opts.workerBin = fs::absolute(opts.workerBin).string();
     opts.workDir = fs::absolute(opts.workDir).string();
-    if (!opts.statusOut.empty())
-        opts.statusOut = fs::absolute(opts.statusOut).string();
 
     if (opts.sweepBin.empty()) {
         // Generate the serve.sh stub the dispatcher will invoke in

@@ -14,9 +14,7 @@
  *
  *   confluence_dispatch --points spec.jsonl --out merged.jsonl
  *       [--backend local|ssh|queue] [--workers N] [--hosts h1,h2,..]
- *       [--remote-dir DIR] [--queue-dir DIR] [--queue-name NAME]
- *       [--tenant ID] [--priority N] [--tenant-weight W]
- *       [--tenant-quota Q] [--shards M]
+ *       [--remote-dir DIR] [--queue-dir DIR] [--shards M]
  *       [--timeout SEC] [--retries K]
  *       [--sweep-bin PATH] [--cache FILE | --no-cache]
  *       [--code-version TAG] [--work-dir DIR]
@@ -57,25 +55,8 @@
  *     Prints one machine-readable stats line to stdout:
  *       dispatch total_points=.. cache_hits=.. cache_misses=..
  *                evaluated_points=.. shards=.. retries=.. attempts=..
- *     --queue-name targets a named sub-queue; --tenant / --priority
- *     tag the submitted tasks for the queue's fair-share claim policy
- *     (priority first, then weighted round-robin across tenants, then
- *     FIFO); --tenant-weight / --tenant-quota record the tenant's
- *     scheduling config in the queue before dispatching. After the
- *     dispatch the coordinator reports its cache hit/miss counters
- *     into the queue's stats.jsonl for --queue-status.
  *
- *   confluence_dispatch --queue-status [--queue-dir DIR]
- *       [--queue-name NAME] [--serve SEC] [--serve-max N]
- *     Print a machine-readable queue snapshot (one QueueStatusRecord
- *     JSONL line: depth per tenant/priority, active leases with
- *     heartbeat age, quarantine count, cache hit rate) to stdout and
- *     a human-readable summary to stderr. With --serve SEC, refresh
- *     every SEC seconds until the queue's stop marker appears (or
- *     --serve-max N snapshots were printed, for bounded CI runs).
- *
- *   confluence_dispatch --queue-dir DIR [--queue-name NAME]
- *       --stop-workers
+ *   confluence_dispatch --queue-dir DIR --stop-workers
  *     Drop the queue's stop marker: every worker daemon drains and
  *     exits 0.
  *
@@ -96,7 +77,6 @@
  *       moment the first task completion is observed — the crash the
  *       queue-sweep job restarts from.
  *   CONFLUENCE_QUEUE_DIR  default --queue-dir (ssh and queue backends).
- *   CONFLUENCE_QUARANTINE_AFTER  queue quarantine strike budget.
  *   CONFLUENCE_CACHE_DIR / CONFLUENCE_CODE_VERSION  default cache
  *       location and cache key code-version tag (see --cache /
  *       --code-version).
@@ -107,9 +87,6 @@
  * interrupted a local dispatch.
  */
 
-#include <cerrno>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -145,34 +122,17 @@ usage(const char *argv0)
         "  %s --points spec.jsonl --out merged.jsonl\n"
         "     [--backend local|ssh|queue] [--workers N]\n"
         "     [--hosts h1,h2,..] [--remote-dir DIR] [--queue-dir DIR]\n"
-        "     [--queue-name NAME] [--tenant ID] [--priority N]\n"
-        "     [--tenant-weight W] [--tenant-quota Q]\n"
         "     [--shards M] [--timeout SEC] [--retries K]\n"
         "     [--sweep-bin PATH]\n"
         "     [--cache FILE | --no-cache]\n"
         "     [--code-version TAG] [--work-dir DIR]\n"
-        "  %s --queue-status [--queue-dir DIR] [--queue-name NAME]\n"
-        "     [--serve SEC] [--serve-max N]\n"
-        "  %s --queue-dir DIR [--queue-name NAME] --stop-workers\n"
+        "  %s --queue-dir DIR --stop-workers\n"
         "  %s --history history.jsonl --result merged.jsonl --tag TAG\n"
         "     [--threshold FRAC]\n"
         "exit codes: 0 ok, 1 fatal, 2 usage, 5 regression over "
         "threshold, 6 task quarantined, 128+N on signal N\n",
-        argv0, argv0, argv0, argv0);
+        argv0, argv0, argv0);
     std::exit(kExitUsage);
-}
-
-/** Parse a (possibly negative) integer flag value; fatal() else. */
-std::int64_t
-parseSignedFlag(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
-        cfl_fatal("%s needs an integer, got \"%s\"", flag.c_str(),
-                  text.c_str());
-    return v;
 }
 
 /** Parse a decimal flag value; fatal() on anything else. */
@@ -235,81 +195,6 @@ historyMode(const std::string &history_path,
     return 0;
 }
 
-void
-printStatusHuman(const sweepio::QueueStatusRecord &st,
-                 const std::string &dir)
-{
-    std::fprintf(stderr,
-                 "queue %s (%s): pending=%llu claimed=%llu done=%llu "
-                 "cancelled=%llu quarantined=%llu stop=%d\n",
-                 st.queue.empty() ? "(root)" : st.queue.c_str(),
-                 dir.c_str(),
-                 static_cast<unsigned long long>(st.pending),
-                 static_cast<unsigned long long>(st.claimed),
-                 static_cast<unsigned long long>(st.done),
-                 static_cast<unsigned long long>(st.cancelled),
-                 static_cast<unsigned long long>(st.quarantined),
-                 st.stop ? 1 : 0);
-    for (const sweepio::QueueTenantDepth &depth : st.depths)
-        std::fprintf(stderr,
-                     "  depth tenant=%s priority=%lld pending=%llu\n",
-                     depth.tenant.c_str(),
-                     static_cast<long long>(depth.priority),
-                     static_cast<unsigned long long>(depth.pending));
-    for (const sweepio::QueueLeaseStatus &lease : st.leases)
-        std::fprintf(stderr,
-                     "  lease id=%s owner=%s tenant=%s hb_age_ms=%llu "
-                     "remaining_ms=%llu\n",
-                     lease.id.c_str(), lease.owner.c_str(),
-                     lease.tenant.c_str(),
-                     static_cast<unsigned long long>(
-                         lease.heartbeatAgeMs),
-                     static_cast<unsigned long long>(
-                         lease.remainingMs));
-    const std::uint64_t lookups = st.cache.hits + st.cache.misses;
-    std::fprintf(stderr,
-                 "  cache hits=%llu misses=%llu hit_rate=%.1f%%\n",
-                 static_cast<unsigned long long>(st.cache.hits),
-                 static_cast<unsigned long long>(st.cache.misses),
-                 lookups == 0 ? 0.0
-                              : 100.0 * static_cast<double>(
-                                            st.cache.hits) /
-                                    static_cast<double>(lookups));
-}
-
-/**
- * One QueueStatusRecord JSONL line per snapshot on stdout (the
- * machine-readable contract), a summary on stderr. --serve keeps
- * refreshing until the queue is told to stop; --serve-max bounds the
- * snapshot count so CI can run the serve loop without wedging.
- */
-int
-queueStatusMode(const std::string &queue_dir,
-                const std::string &queue_name, unsigned serve_sec,
-                unsigned serve_max)
-{
-    queue::WorkQueue wq(queue_dir, queue_name);
-    unsigned printed = 0;
-    while (true) {
-        const sweepio::QueueStatusRecord st = wq.status();
-        std::printf("%s\n", sweepio::encodeQueueStatus(st).c_str());
-        std::fflush(stdout);
-        printStatusHuman(st, wq.dir());
-        ++printed;
-        if (serve_sec == 0)
-            break; // one-shot
-        if (serve_max != 0 && printed >= serve_max)
-            break;
-        if (st.stop) {
-            std::fprintf(stderr, "queue-status: stop marker present, "
-                         "exiting serve loop\n");
-            break;
-        }
-        std::this_thread::sleep_for(std::chrono::seconds(serve_sec));
-    }
-    return 0;
-}
-
 /**
  * Start `@p worker_cmd --owner <host>` on every host over ssh, in
  * @p remote_dir. Each returned thread waits on one ssh client; the
@@ -347,12 +232,6 @@ main(int argc, char **argv)
     bool workers_set = false;
     std::string hosts_list, remote_dir;
     std::string queue_dir = queue::WorkQueue::defaultDir();
-    std::string queue_name, tenant;
-    std::int64_t priority = 0;
-    unsigned tenant_weight = 0, tenant_quota = 0;
-    bool tenant_weight_set = false, tenant_quota_set = false;
-    bool queue_status = false;
-    unsigned serve_sec = 0, serve_max = 0;
     bool stop_workers = false;
     unsigned shards = 0, timeout_sec = 0, retries = 2;
     std::string sweep_bin = siblingBin(argv[0], "confluence_sweep");
@@ -387,24 +266,6 @@ main(int argc, char **argv)
             remote_dir = value();
         else if (arg == "--queue-dir")
             queue_dir = value();
-        else if (arg == "--queue-name")
-            queue_name = value();
-        else if (arg == "--tenant")
-            tenant = value();
-        else if (arg == "--priority")
-            priority = parseSignedFlag(arg, value());
-        else if (arg == "--tenant-weight") {
-            tenant_weight = parseUnsignedFlag(arg, value());
-            tenant_weight_set = true;
-        } else if (arg == "--tenant-quota") {
-            tenant_quota = parseUnsignedFlag(arg, value());
-            tenant_quota_set = true;
-        } else if (arg == "--queue-status")
-            queue_status = true;
-        else if (arg == "--serve")
-            serve_sec = parseUnsignedFlag(arg, value());
-        else if (arg == "--serve-max")
-            serve_max = parseUnsignedFlag(arg, value());
         else if (arg == "--stop-workers")
             stop_workers = true;
         else if (arg == "--shards")
@@ -435,17 +296,10 @@ main(int argc, char **argv)
             usage(argv[0]);
     }
 
-    if (queue_status) {
-        if (!points_path.empty() || !history_path.empty() ||
-            stop_workers)
-            usage(argv[0]);
-        return queueStatusMode(queue_dir, queue_name, serve_sec,
-                               serve_max);
-    }
     if (stop_workers) {
         if (!points_path.empty() || !history_path.empty())
             usage(argv[0]);
-        queue::WorkQueue wq(queue_dir, queue_name);
+        queue::WorkQueue wq(queue_dir);
         wq.requestStop();
         std::fprintf(stderr, "stop marker dropped in %s; workers will "
                      "drain and exit\n", wq.dir().c_str());
@@ -481,7 +335,7 @@ main(int argc, char **argv)
     const bool local = backend_name == "local";
     if (local)
         queue_dir = work_dir.empty() ? out_path + ".work" : work_dir;
-    queue::WorkQueue wq(queue_dir, local ? "" : queue_name);
+    queue::WorkQueue wq(queue_dir);
     // A stale stop marker from a drained earlier run would make fresh
     // workers exit mid-dispatch; this run wants them alive.
     wq.clearStop();
@@ -490,17 +344,6 @@ main(int argc, char **argv)
     // run's cache lookups.
     const std::string key = dispatch::sweepKey(points);
     dispatch::reconcileSweep(wq, key);
-    // Record this tenant's scheduling config before submitting under
-    // it; unspecified fields keep their recorded values.
-    if (tenant_weight_set || tenant_quota_set) {
-        const std::string effective = tenant.empty() ? "default" : tenant;
-        sweepio::TenantRecord config = wq.tenantConfig(effective);
-        if (tenant_weight_set)
-            config.weight = tenant_weight;
-        if (tenant_quota_set)
-            config.quota = tenant_quota;
-        wq.setTenant(effective, config.weight, config.quota);
-    }
 
     dispatch::DispatchOptions opts;
     opts.sweepBin = sweep_bin;
@@ -508,8 +351,6 @@ main(int argc, char **argv)
         opts.workDir = work_dir;
     opts.retry.maxAttempts = retries + 1;
     opts.retry.timeoutSec = timeout_sec;
-    opts.tenant = tenant;
-    opts.priority = priority;
     opts.shards = shards;
     if (local)
         opts.workerThreads = workers;
@@ -525,15 +366,13 @@ main(int argc, char **argv)
 
     std::vector<std::thread> fleet;
     if (backend_name == "ssh") {
-        std::string cmd = dispatch::shellQuote(
-                              siblingBin(argv[0], "confluence_worker")) +
-                          " --queue " + dispatch::shellQuote(queue_dir);
-        if (!queue_name.empty())
-            cmd += " --queue-name " + dispatch::shellQuote(queue_name);
-        cmd += no_cache ? " --no-cache"
-                        : " --cache " + dispatch::shellQuote(cache_path) +
-                              " --code-version " +
-                              dispatch::shellQuote(code_version);
+        const std::string cmd =
+            dispatch::shellQuote(siblingBin(argv[0], "confluence_worker")) +
+            " --queue " + dispatch::shellQuote(queue_dir) +
+            (no_cache ? " --no-cache"
+                      : " --cache " + dispatch::shellQuote(cache_path) +
+                            " --code-version " +
+                            dispatch::shellQuote(code_version));
         fleet = startRemoteWorkers(hosts, remote_dir, cmd);
     }
 
@@ -557,11 +396,6 @@ main(int argc, char **argv)
             t.join();
     }
     sweepio::writeResult(out_path, merged);
-
-    // Feed the queue's status view: --queue-status reports the cache
-    // hit rate from the newest coordinator-recorded counters.
-    wq.recordCacheStats(cache ? cache->hits() : 0,
-                        cache ? cache->misses() : 0);
     if (local) {
         // Done: a private queue only matters to a restart after a
         // crash, which never got here. A --work-dir the caller named

@@ -2,14 +2,13 @@
  * @file
  * Adaptive design-space search CLI over the result cache.
  *
- *   confluence_search --strategy exhaustive|halving|descent|fuzz
+ *   confluence_search --strategy exhaustive|halving|fuzz
  *                     --space "kinds=a,b;axis=v1,v2;..."
  *                     [--workloads x,y|all] [--scale quick|default|full]
  *                     [--seed N] [--budget N] [--journal search.jsonl]
  *                     [--resume] [--cache store.jsonl] [--no-cache]
  *                     [--code-version TAG] [--pareto-out PREFIX]
- *                     [--eta N] [--finalists N] [--start SLUG]
- *                     [--exact-screening]
+ *                     [--eta N] [--finalists N] [--exact-screening]
  *
  * The journal (default search.jsonl) is the durability artifact: every
  * (round, candidate, decision) appends before the next evaluation
@@ -61,12 +60,12 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s --strategy exhaustive|halving|descent|fuzz\n"
+        "usage: %s --strategy exhaustive|halving|fuzz\n"
         "  --space \"kinds=a,b;axis=v1,v2;...\" [--workloads x,y|all]\n"
         "  [--scale quick|default|full] [--seed N] [--budget N]\n"
         "  [--journal search.jsonl] [--resume] [--cache store.jsonl]\n"
         "  [--no-cache] [--code-version TAG] [--pareto-out PREFIX]\n"
-        "  [--eta N] [--finalists N] [--start SLUG] [--exact-screening]\n"
+        "  [--eta N] [--finalists N] [--exact-screening]\n"
         "exit codes: 0 ok, 1 fatal, 2 usage, 3 journal conflict,\n"
         "  4 injected fault, 5 fuzzer property violation\n",
         argv0);
@@ -132,8 +131,6 @@ main(int argc, char **argv)
             opts.eta = parseUnsignedFlag("--eta", value());
         } else if (arg == "--finalists") {
             opts.finalists = parseUnsignedFlag("--finalists", value());
-        } else if (arg == "--start") {
-            opts.startSlug = value();
         } else if (arg == "--exact-screening") {
             opts.sampledScreening = false;
         } else {

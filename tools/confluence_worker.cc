@@ -16,15 +16,12 @@
  * — an expired lease is reclaimed by whichever worker next looks.
  *
  * Usage:
- *   confluence_worker [--queue DIR] [--queue-name NAME] [--owner NAME]
- *                     [--lease SEC] [--poll-ms MS] [--idle-exit SEC]
- *                     [--max-tasks N] [--cache FILE | --no-cache]
- *                     [--code-version TAG]
+ *   confluence_worker [--queue DIR] [--owner NAME] [--lease SEC]
+ *                     [--poll-ms MS] [--idle-exit SEC] [--max-tasks N]
+ *                     [--cache FILE | --no-cache] [--code-version TAG]
  *
  *   --queue DIR     queue directory (default $CONFLUENCE_QUEUE_DIR or
  *                   ".confluence-queue")
- *   --queue-name N  serve the named sub-queue DIR/queues/N instead of
- *                   the root queue; one daemon serves one queue
  *   --owner NAME    lease owner identity (default host:pid)
  *   --lease SEC     lease duration per claim/heartbeat (default 60);
  *                   heartbeats fire every SEC/3, so only a dead or
@@ -73,10 +70,9 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage:\n"
-        "  %s [--queue DIR] [--queue-name NAME] [--owner NAME]\n"
-        "     [--lease SEC] [--poll-ms MS] [--idle-exit SEC]\n"
-        "     [--max-tasks N] [--cache FILE | --no-cache]\n"
-        "     [--code-version TAG]\n"
+        "  %s [--queue DIR] [--owner NAME] [--lease SEC]\n"
+        "     [--poll-ms MS] [--idle-exit SEC] [--max-tasks N]\n"
+        "     [--cache FILE | --no-cache] [--code-version TAG]\n"
         "exit codes: 0 clean shutdown (stop marker, --idle-exit,\n"
         "  --max-tasks), 1 fatal, 2 usage, 128+N on signal N\n",
         argv0);
@@ -97,7 +93,6 @@ int
 main(int argc, char **argv)
 {
     std::string queue_dir = queue::WorkQueue::defaultDir();
-    std::string queue_name;
     queue::WorkerOptions wopts;
     wopts.owner = defaultOwner();
     std::string cache_path = dispatch::ResultCache::defaultStorePath();
@@ -114,8 +109,6 @@ main(int argc, char **argv)
         };
         if (arg == "--queue")
             queue_dir = value();
-        else if (arg == "--queue-name")
-            queue_name = value();
         else if (arg == "--owner")
             wopts.owner = value();
         else if (arg == "--lease")
@@ -140,7 +133,7 @@ main(int argc, char **argv)
     if (wopts.pollMs == 0)
         cfl_fatal("--poll-ms must be >= 1");
 
-    queue::WorkQueue queue(queue_dir, queue_name);
+    queue::WorkQueue queue(queue_dir);
     // One cache open per daemon run — every completed task reuses this
     // instance (and its single append descriptor) instead of reopening
     // the store per completion.

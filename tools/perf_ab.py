@@ -7,14 +7,17 @@ Run from the root of a checkout. The base revision is checked out into a
 temporary git worktree under the checkout's .perf_ab/, so both sides
 build and run on the same filesystem; this checkout, with any uncommitted
 changes, is the head. Each side builds perfbench/ into its own
-.bench_build/ with the same compiler. Then PAIRS pairs of `perfbench/run.py --seed 0 --seconds 15
---trace 0` runs go back to back for every workload, alternating which side
-runs first, so drift on the host hits both sides alike.
+.bench_build/ with the same compiler. Then pairs of `perfbench/run.py
+--seed 0 --seconds 15 --trace 0` runs go back to back for every workload,
+alternating which side runs first, so drift on the host hits both sides
+alike. It runs at least MIN_PAIRS pairs, and adds pairs until every
+workload's 95% interval is no wider than +-HALF_WIDTH or MAX_PAIRS pairs
+have run.
 
 For each workload it prints every pair's wall_s (the run's median over
 its cold repetitions), the head/base ratio and the 95% t-interval of the
 mean paired log ratio. It exits 1 when an interval lies wholly above
-+15% (a slowdown the pairs can tell from noise), when any run reports
++5% (a slowdown the pairs can tell from noise), when any run reports
 an incorrect result, or when any run exits non-zero; 2 on bad usage.
 """
 
@@ -33,12 +36,16 @@ import benchlib  # noqa: E402
 
 WORKLOADS = ("fig06_exact", "fig06_sampled", "search_halving")
 RUN_ARGS = ("--seed", "0", "--seconds", "15", "--trace", "0")
-PAIRS = 5
+MIN_PAIRS = 5
+MAX_PAIRS = 12
+HALF_WIDTH = 0.05        # stop adding pairs once every interval is this tight
 CXX = "g++-13"
 POOL = 4                 # perfbench/run.py's sweep pool
-SLOWDOWN_LIMIT = 1.15    # fail when the whole interval lies above this
+SLOWDOWN_LIMIT = 1.05    # fail when the whole interval lies above this
 
-T975 = 2.776             # two-sided 95% Student t at PAIRS - 1 = 4 d.o.f.
+# Two-sided 95% Student t quantiles, by degrees of freedom (pairs - 1).
+T975 = {4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262,
+        10: 2.228, 11: 2.201}
 
 
 def log(msg):
@@ -59,13 +66,38 @@ class Run:
 
 
 def ratio_interval(ratios):
-    """Geometric-mean ratio and its 95% t-interval, from PAIRS paired
-    head/base ratios."""
-    assert len(ratios) == PAIRS
+    """Geometric-mean ratio and its 95% t-interval, from MIN_PAIRS to
+    MAX_PAIRS paired head/base ratios."""
+    n = len(ratios)
+    assert MIN_PAIRS <= n <= MAX_PAIRS
     logs = [math.log(r) for r in ratios]
     mean = statistics.mean(logs)
-    half = T975 * statistics.stdev(logs) / math.sqrt(PAIRS)
+    half = T975[n - 1] * statistics.stdev(logs) / math.sqrt(n)
     return math.exp(mean), math.exp(mean - half), math.exp(mean + half)
+
+
+def resolved(pairs):
+    """Whether one workload's (base, head) Run pairs, all ok, give an
+    interval no wider than +-HALF_WIDTH of the ratio."""
+    ratio, lo, hi = ratio_interval([h.wall_s / b.wall_s for b, h in pairs])
+    return (hi - lo) / 2 <= HALF_WIDTH * ratio
+
+
+def collect(run_pair):
+    """Run pairs until every workload is resolved, MIN_PAIRS at least and
+    MAX_PAIRS at most, or until a run fails, which fails the gate
+    whatever follows. run_pair(i) runs pair i of every workload and
+    returns {workload: (base Run, head Run)}; the result maps each
+    workload to its list of pairs."""
+    pairs = {w: [] for w in WORKLOADS}
+    for i in range(MAX_PAIRS):
+        for w, pair in run_pair(i).items():
+            pairs[w].append(pair)
+        if not all(b.ok and h.ok for p in pairs.values() for b, h in p):
+            break
+        if i + 1 >= MIN_PAIRS and all(map(resolved, pairs.values())):
+            break
+    return pairs
 
 
 def verdict(pairs):
@@ -162,19 +194,22 @@ def main():
     if git("worktree", "add", "--detach", worktree, base).returncode != 0:
         log("git worktree add failed")
         return 2
+    def run_pair(i):
+        order = ((worktree, head) if i % 2 == 0 else (head, worktree))
+        pair = {}
+        for w in WORKLOADS:
+            runs = {tree: run_side(tree, w, env) for tree in order}
+            base_run, head_run = runs[worktree], runs[head]
+            pair[w] = (base_run, head_run)
+            ratio = ("ratio %.4f" % (head_run.wall_s / base_run.wall_s)
+                     if base_run.ok and head_run.ok else "no ratio")
+            print("%s pair %d (%s first): base %s, head %s, %s" % (
+                w, i + 1, "base" if order[0] == worktree else "head",
+                fmt(base_run), fmt(head_run), ratio), flush=True)
+        return pair
+
     try:
-        pairs = {w: [] for w in WORKLOADS}
-        for i in range(PAIRS):
-            order = ((worktree, head) if i % 2 == 0 else (head, worktree))
-            for w in WORKLOADS:
-                runs = {tree: run_side(tree, w, env) for tree in order}
-                base_run, head_run = runs[worktree], runs[head]
-                pairs[w].append((base_run, head_run))
-                ratio = ("ratio %.4f" % (head_run.wall_s / base_run.wall_s)
-                         if base_run.ok and head_run.ok else "no ratio")
-                print("%s pair %d (%s first): base %s, head %s, %s" % (
-                    w, i + 1, "base" if order[0] == worktree else "head",
-                    fmt(base_run), fmt(head_run), ratio), flush=True)
+        pairs = collect(run_pair)
         compilers = {built_compiler(worktree), built_compiler(head)}
         failed = False
         if len(compilers) != 1:
