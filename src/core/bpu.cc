@@ -85,14 +85,13 @@ Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
         return 0;
 
     const std::uint64_t limit = trace->size();
-    const std::uint32_t *bpos = trace->branchPositions();
-    const std::uint64_t nbr = trace->numBranches();
     const unsigned max_insts = params_.maxRegionInsts;
 
     const std::uint64_t start = engine_.replayCursor();
     std::uint64_t pos = start;
-    std::uint64_t h =
-        std::lower_bound(bpos, bpos + nbr, pos) - bpos;
+    // Ordinal of the next branch; past the last one it is the sentinel,
+    // whose position is the trace length.
+    std::uint64_t h = engine_.replayBranchCursor();
     // Consecutive regions usually stay inside one block; a repeated
     // probe of the block just touched is a hit that re-marks an
     // already-MRU line, so eliding it leaves cache state identical.
@@ -100,7 +99,7 @@ Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
     DynInst inst;
 
     while (pos - start < insts && pos < limit) {
-        const Addr start_pc = trace->pcAt(pos);
+        const Addr start_pc = trace->instPc(pos, h);
         unsigned ninsts = 0;
         // Regions split at taken branches and the detailed-mode length
         // cap; the touched block stream is identical either way. Every
@@ -108,7 +107,7 @@ Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
         // (warmBranch); taken branches additionally feed the BTB's
         // large-backing-level hook (see Btb::warmTakenBranch).
         while (true) {
-            const std::uint64_t next_branch = h < nbr ? bpos[h] : limit;
+            const std::uint64_t next_branch = trace->posAt(h);
             const std::uint64_t cap_end = pos + (max_insts - ninsts);
             if (next_branch >= cap_end || next_branch >= limit) {
                 const std::uint64_t end = std::min(cap_end, limit);
@@ -118,17 +117,17 @@ Bpu::touchStream(Counter insts, InstMemory &mem, InstPrefetcher *pf,
             }
             ninsts += static_cast<unsigned>(next_branch - pos) + 1;
             pos = next_branch + 1;
-            ++h;
-            if (!trace->takenAt(next_branch)) {
+            const std::uint64_t b = h++;
+            if (!trace->takenAt(b)) {
                 // Not-taken ⇒ conditional: the direction predictor is
                 // the only per-branch state it updates, and only the
-                // pc column is needed (see warmBranch).
-                warmDirection(trace->pcAt(next_branch), false);
+                // pc is needed (see warmBranch).
+                warmDirection(trace->pcAt(b), false);
                 if (ninsts >= max_insts)
                     break;
                 continue;
             }
-            trace->read(next_branch, inst);
+            trace->read(b, inst);
             warmBranch(inst);
             break;
         }

@@ -111,8 +111,8 @@ class Bpu
      * predictNextRegion with the BTB's concrete type known at compile
      * time: the per-branch lookup devirtualizes, and when the engine is
      * replaying a buffered trace the walk jumps branch-to-branch over
-     * the buffer's predecoded branch index instead of materializing
-     * every non-branch instruction. Bit-identical to the virtual path.
+     * the buffer's branch records instead of materializing every
+     * non-branch instruction. Bit-identical to the virtual path.
      */
     template <typename BtbT>
     BpuResult predictNextRegionT(Cycle now);
@@ -126,8 +126,8 @@ class Bpu
     /**
      * Touch-only functional advance of ~@p insts instructions over a
      * replayed trace (sampled fast-forward, far from any measured
-     * interval): regions are derived from the predecode index's taken
-     * branches and their blocks touched in @p mem, with @p pf seeing
+     * interval): regions are derived from the trace's taken branches
+     * and their blocks touched in @p mem, with @p pf seeing
      * each block transition through onWarmAccess — so long-lived
      * state (L1-I/LLC content, recorded prefetch metadata) sees every
      * access. Per-branch predictor state (direction predictor, RAS,
@@ -138,7 +138,7 @@ class Bpu
      * that always follows. @p now advances ~1 inst/cycle like
      * fastForward. May overshoot by up to one region; returns
      * instructions consumed. Over a buffered prefix the walk jumps
-     * branch to branch through the trace columns; in generation mode
+     * branch to branch through the trace records; in generation mode
      * it consumes the engine live with the identical region/warming
      * sequence, so trace-cache hits and bypasses stay bit-identical
      * (only the speed differs). Returns short when the buffered
@@ -162,7 +162,7 @@ class Bpu
 
   private:
     /** Generation-mode touchStream: the same region walk driven by
-     *  live engine consumption instead of the trace columns. */
+     *  live engine consumption instead of the trace records. */
     Counter touchStreamGenerated(Counter insts, InstMemory &mem,
                                  InstPrefetcher *pf, Cycle &now);
     /**
@@ -214,12 +214,6 @@ class Bpu
     ExecEngine &engine_;
     InstMemory *mem_;
     StatSet stats_{"bpu"};
-
-    // Branch-index walk state: which trace the hint indexes into, and
-    // the first entry of branchPositions() not yet consumed. The hint
-    // only moves forward (the stream is consumed monotonically).
-    const TraceBuffer *fastTrace_ = nullptr;
-    std::uint64_t branchHint_ = 0;
 
     // Per-instruction counters resolved once (StatSet nodes are stable).
     Stat *instsStat_;
@@ -327,29 +321,15 @@ template <typename BtbT>
 inline BpuResult
 Bpu::predictRegionFromTrace(const TraceBuffer &trace, Cycle now)
 {
-    if (fastTrace_ != &trace) {
-        // (Re)bind the hint to this trace: first branch at or after
-        // the replay cursor.
-        fastTrace_ = &trace;
-        const std::uint32_t *pos = trace.branchPositions();
-        branchHint_ =
-            std::lower_bound(pos, pos + trace.numBranches(),
-                             engine_.replayCursor()) -
-            pos;
-    }
-
+    // The engine keeps the ordinal of the first branch at or after its
+    // replay cursor; the caller guarantees the whole worst-case region
+    // lies inside the buffer, so the walk never reaches the sentinel.
     const std::uint64_t start = engine_.replayCursor();
-    const std::uint64_t num_branches = trace.numBranches();
-    const std::uint32_t *branch_pos = trace.branchPositions();
+    std::uint64_t h = engine_.replayBranchCursor();
     const unsigned max_insts = params_.maxRegionInsts;
 
-    // A scalar-path detour (peeked stream) only moves the cursor
-    // forward, so advancing past consumed branches resynchronizes.
-    while (branchHint_ < num_branches && branch_pos[branchHint_] < start)
-        ++branchHint_;
-
     BpuResult out;
-    out.region.startPc = trace.pcAt(start);
+    out.region.startPc = trace.instPc(start, h);
 
     std::uint64_t pos = start;
     unsigned insts = 0;
@@ -358,9 +338,7 @@ Bpu::predictRegionFromTrace(const TraceBuffer &trace, Cycle now)
         // Non-branch instructions before the next branch contribute
         // nothing but the instruction count and the region-length cap,
         // so the walk consumes them as one arithmetic step.
-        const std::uint64_t gap =
-            branchHint_ < num_branches ? branch_pos[branchHint_] - pos
-                                       : std::uint64_t{max_insts};
+        const std::uint64_t gap = trace.posAt(h) - pos;
         if (insts + gap >= max_insts) {
             // Cap reached on a non-branch; any branch stays unconsumed
             // for the next region.
@@ -370,10 +348,10 @@ Bpu::predictRegionFromTrace(const TraceBuffer &trace, Cycle now)
             break;
         }
 
-        pos = branch_pos[branchHint_] + std::uint64_t{1};
+        pos += gap + 1;
         insts += static_cast<unsigned>(gap) + 1;
-        trace.read(branch_pos[branchHint_], inst);
-        ++branchHint_;
+        trace.read(h, inst);
+        ++h;
         if (handleBranch<BtbT>(inst, now, out))
             break;
         if (insts >= max_insts) {

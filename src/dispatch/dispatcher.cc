@@ -306,9 +306,10 @@ runDispatchedSweep(const std::vector<SweepPoint> &points,
         }
         if (failed != shards.size()) {
             const Shard &s = shards[failed];
-            cfl_fatal("shard %zu failed after %u attempt(s) (last exit %d%s)",
-                      failed, s.attempts, s.lastExit,
-                      s.timedOut ? ", timed out" : "");
+            throw DispatchError(detail::formatString(
+                "shard %zu failed after %u attempt(s) (last exit %d%s)",
+                failed, s.attempts, s.lastExit,
+                s.timedOut ? ", timed out" : ""));
         }
 
         // Merge shard results in shard order: shards are contiguous
@@ -319,8 +320,9 @@ runDispatchedSweep(const std::vector<SweepPoint> &points,
         for (const Shard &s : shards)
             fresh.merge(sweepio::readResult(s.result));
         if (fresh.points.size() != misses.size())
-            cfl_fatal("shard results hold %zu points, expected %zu",
-                      fresh.points.size(), misses.size());
+            throw DispatchError(detail::formatString(
+                "shard results hold %zu points, expected %zu",
+                fresh.points.size(), misses.size()));
         st.evaluatedPoints = fresh.points.size();
     }
 

@@ -45,6 +45,7 @@
 #define CFL_DISPATCH_DISPATCHER_HH
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,15 @@ class ResultCache;
  *  poison: like the sweep's own "corrupt input" code 3, retrying it
  *  cannot help. */
 inline constexpr int kExitQuarantined = 6;
+
+/** A dispatched sweep that cannot complete: a shard exhausted its
+ *  attempts (or failed one that retrying cannot help), or the shard
+ *  results do not cover the evaluated points. */
+class DispatchError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Retry behaviour of runDispatchedSweep(). */
 struct RetryPolicy
@@ -122,11 +132,13 @@ void reconcileSweep(queue::WorkQueue &queue, const std::string &key);
  * @p cache (may be nullptr: cache disabled). The returned result lists
  * outcomes in the submission order of @p points and is byte-identical
  * (sweepio::encodeResult) to runTimingSweep over the same points.
- * Fully cached sweeps enqueue nothing. fatal()s if any shard exhausts
- * its attempts. Once *opts.quit is true, the wait for shards ends: the
- * threads this call started kill their commands' process groups and
- * join, and the call returns an empty result at once. The owner of
- * the flag must check it before using the result.
+ * Fully cached sweeps enqueue nothing. Throws DispatchError if any
+ * shard exhausts its attempts or the shard results come up short; the
+ * process, the queue and the result cache stay usable, and outcomes
+ * the workers cached are kept. Once *opts.quit is true, the wait for
+ * shards ends: the threads this call started kill their commands'
+ * process groups and join, and the call returns an empty result at
+ * once. The owner of the flag must check it before using the result.
  */
 SweepResult runDispatchedSweep(const std::vector<SweepPoint> &points,
                                queue::WorkQueue &queue,

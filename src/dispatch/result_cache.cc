@@ -29,7 +29,7 @@ std::atomic<std::uint64_t> g_cacheStoreOpens{0};
  * the commit SHA via CONFLUENCE_CODE_VERSION, which keys conservatively
  * on every commit instead.
  */
-constexpr const char *kBuiltinCodeVersion = "confluence-metrics-v1";
+constexpr const char *kBuiltinCodeVersion = "confluence-metrics-v2";
 
 } // namespace
 

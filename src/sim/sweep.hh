@@ -9,9 +9,10 @@
  * cache, so points fan out across a thread pool trivially.
  *
  * Determinism contract: a point's RNG seed is a pure function of the
- * point itself (sweepPointSeed), never of the execution schedule, so a
- * sweep produces bit-identical metrics whether it runs on one worker or
- * sixteen. The pool size follows std::thread::hardware_concurrency and
+ * point's workload (sweepPointSeed), never of the execution schedule or
+ * of the design, so a sweep produces bit-identical metrics whether it
+ * runs on one worker or sixteen, and every design of a workload runs on
+ * the same instruction streams. The pool size follows std::thread::hardware_concurrency and
  * can be overridden with the CONFLUENCE_JOBS environment variable;
  * CONFLUENCE_JOBS=1 runs every point inline on the calling thread.
  */
@@ -136,8 +137,8 @@ sweepMap2(SweepEngine &engine, std::size_t rows, std::size_t cols, Fn &&fn)
  * point keeps its byte encoding, digest, and cache key.
  *
  * The overlay is part of the point identity (codec, digests) but NOT
- * of sweepPointSeed: two geometry variants of the same (kind,
- * workload) replay the identical instruction stream, which is exactly
+ * of sweepPointSeed: like every design of a workload, two geometry
+ * variants replay the identical instruction stream, which is exactly
  * what a design-space search wants to compare (and what lets the
  * trace cache serve them all from one shared buffer).
  */
@@ -182,8 +183,9 @@ struct SweepPoint
 
 /**
  * Deterministic RNG seed base of a sweep point: a pure function of the
- * point's coordinates, so serial and parallel sweeps (and reruns) seed
- * their CMPs identically.
+ * point's workload, so serial and parallel sweeps (and reruns) seed
+ * their CMPs identically, and every design (@p kind is ignored) replays
+ * the same instruction streams of a workload: common random numbers.
  */
 std::uint64_t sweepPointSeed(FrontendKind kind, WorkloadId workload);
 

@@ -5,9 +5,10 @@
  * A shard is a contiguous slice of the point list by stable point index,
  * so concatenating the shards 0..N-1 (or merging their results in shard
  * order) reproduces the full sweep in its original submission order.
- * Per-point RNG seeds are pure functions of the point coordinates
- * (sweepPointSeed), so sharding never changes any point's metrics: the
- * union of N shard results is bit-identical to the unsharded sweep.
+ * Per-point RNG seeds are pure functions of the point's workload
+ * (sweepPointSeed; every design shares them), so sharding never changes
+ * any point's metrics: the union of N shard results is bit-identical to
+ * the unsharded sweep.
  */
 
 #ifndef CFL_SWEEPIO_SHARD_HH

@@ -37,6 +37,7 @@ ExecEngine::attachTrace(std::shared_ptr<const TraceBuffer> trace)
                "attachTrace after instructions were consumed");
     trace_ = std::move(trace);
     traceCursor_ = 0;
+    branchCursor_ = trace_->branchAtOrAfter(traceCursor_);
 }
 
 EngineSnapshot
@@ -68,6 +69,21 @@ ExecEngine::restore(const EngineSnapshot &snap)
                "trace tail snapshot out of sync with replay cursor");
     trace_.reset();
     traceCursor_ = 0;
+    branchCursor_ = 0;
+}
+
+void
+ExecEngine::syncBranchCursor()
+{
+    // After a region a few steps reach it; after a long skip a binary
+    // search over the rest is cheaper. The sentinel record's position
+    // is the trace length, so the steps never run off the end.
+    for (int k = 0; k < 8; ++k) {
+        if (trace_->posAt(branchCursor_) >= traceCursor_)
+            return;
+        ++branchCursor_;
+    }
+    branchCursor_ = trace_->branchAtOrAfter(traceCursor_, branchCursor_);
 }
 
 void
@@ -79,6 +95,7 @@ ExecEngine::skipReplay(std::uint64_t n)
                "skipReplay past the buffered prefix");
     traceCursor_ += n;
     instCount_ += n;
+    syncBranchCursor();
 }
 
 void
@@ -99,8 +116,10 @@ ExecEngine::fastForward(std::uint64_t n)
             traceCursor_ += skip;
             instCount_ += skip;
             n -= skip;
-            if (n == 0)
+            if (n == 0) {
+                syncBranchCursor();
                 return;
+            }
             // Prefix exhausted mid-skip: continue generating (and
             // discarding) from the buffer's tail state.
             restore(trace_->tailSnapshot());
@@ -128,6 +147,7 @@ ExecEngine::restoreSnapshot(const EngineSnapshot &snap)
 {
     trace_.reset();
     traceCursor_ = 0;
+    branchCursor_ = 0;
     hasPeek_ = false;
     rng_ = snap.rng;
     pc_ = snap.pc;
@@ -162,7 +182,8 @@ ExecEngine::step()
 {
     if (trace_ != nullptr) {
         if (traceCursor_ < trace_->size()) {
-            trace_->read(traceCursor_++, cur_);
+            if (trace_->readInst(traceCursor_++, branchCursor_, cur_))
+                ++branchCursor_;
             ++instCount_;
             return;
         }

@@ -14,7 +14,7 @@
  *    instruction, exactly as before;
  *  - *replay*: attachTrace() hands the engine an immutable, pre-generated
  *    TraceBuffer for the same (program, params) pair; next()/peek() then
- *    stream instructions out of the buffer's flat arrays with no RNG,
+ *    stream instructions out of the buffer's branch records with no RNG,
  *    behavior-model, or image work at all. If a consumer runs past the
  *    buffered prefix, the engine restores the generator state snapshot
  *    the buffer carries and continues generating — so a replayed stream
@@ -98,13 +98,16 @@ class ExecEngine
     /** Index of the next instruction next() would replay. */
     std::uint64_t replayCursor() const { return traceCursor_; }
 
+    /** Ordinal of the first buffered branch at or after replayCursor(). */
+    std::uint64_t replayBranchCursor() const { return branchCursor_; }
+
     /** True when peek() buffered an instruction next() hasn't taken. */
     bool peekPending() const { return hasPeek_; }
 
     /**
      * Advance the replay cursor past @p n instructions without
      * materializing them. Callers must have consumed them some other
-     * way (e.g. straight from the buffer's columns) and must stay
+     * way (e.g. straight from the buffer's records) and must stay
      * within the buffered prefix with no peek outstanding — the skip
      * is then indistinguishable from n calls to next().
      */
@@ -129,7 +132,7 @@ class ExecEngine
      * (n <= program().straightRunAt(generationPc())). Bit-identical to
      * n calls to next(), whose results are not materialized: each would
      * be {pc + 4k, None, not taken, target 0, requestCount()}. The
-     * TraceBuffer builder writes such runs straight into its columns.
+     * TraceBuffer builder stores no record for such runs.
      */
     void skipStraight(std::uint64_t n);
 
@@ -165,6 +168,10 @@ class ExecEngine
     /** Leave replay mode by adopting the trace's tail snapshot. */
     void restore(const EngineSnapshot &snap);
 
+    /** Move branchCursor_ forward to the first branch at or after
+     *  traceCursor_ (both only ever advance). */
+    void syncBranchCursor();
+
     const Program &program_;
     BranchBehavior behavior_;
     Rng rng_;
@@ -181,6 +188,7 @@ class ExecEngine
 
     std::shared_ptr<const TraceBuffer> trace_;
     std::uint64_t traceCursor_ = 0;
+    std::uint64_t branchCursor_ = 0;
 
     DynInst cur_;
     bool hasPeek_ = false;

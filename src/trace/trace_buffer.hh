@@ -1,27 +1,37 @@
 /**
  * @file
- * Immutable, arena-backed SoA storage for a pre-generated oracle trace.
+ * Immutable, branch-only storage for a pre-generated oracle trace.
  *
  * A TraceBuffer captures the first N dynamic instructions an ExecEngine
- * with a given (program, params) pair would produce, laid out as five
- * parallel flat arrays (structure-of-arrays) carved out of one
- * contiguous arena allocation: pc, target, requestId, kind, taken.
- * Replay is a handful of indexed loads per instruction — no RNG, no
- * behavior model, no image decode — and the buffer is deeply const, so
- * any number of engines on any threads can replay one buffer
- * concurrently (the sharing the TraceCache exploits).
+ * with a given (program, params) pair would produce. Only the branches
+ * are stored, one 24-byte TraceBranch record each (position, pc,
+ * target, request id, kind, taken); at 0.17-0.26 branches per
+ * instruction that is 4-7 bytes per instruction. Every other
+ * instruction is implied: between two branches the stream runs
+ * straight, so a non-branch at index i before branch h is
+ * {pc_h - 4 * (pos_h - i), None, not taken, target 0, requestId_h}
+ * (the request count only changes at a branch, the dispatch call).
+ * A sentinel record after the last branch carries the tail's pc and
+ * request count, so the same rule covers the instructions after it.
+ *
+ * Replay is a few loads per instruction — no RNG, no behavior model,
+ * no image decode — and the buffer is deeply const, so any number of
+ * engines on any threads can replay one buffer concurrently (the
+ * sharing the TraceCache exploits). Readers address branches by their
+ * ordinal (0 .. numBranches()-1) and find the branch at or after an
+ * instruction with branchAtOrAfter().
  *
  * The buffer also carries the generator state snapshot taken *after*
  * instruction N-1, so an engine that consumes past the buffered prefix
  * seamlessly resumes live generation with a bit-identical stream.
  *
- * Building a buffer steps the ExecEngine only at branches. Each
- * straight-line run (Program::straightRunAt) is written as one column
- * fill and skipped in the engine, so the stored stream equals the
- * per-instruction ExecEngine::next() stream bit for bit. The arena is
- * not value-initialised, since every byte is written, and it can come
- * from an evicted buffer of the same size (TraceCache reuses it already
- * faulted in).
+ * Building a buffer steps the ExecEngine only at branches and skips
+ * each straight-line run (Program::straightRunAt) in one call, so the
+ * stored stream equals the per-instruction ExecEngine::next() stream
+ * bit for bit. The records go into an anonymous mapping of the
+ * every-instruction-a-branch bound, written front to back and then
+ * trimmed to the pages used: no copy, and the pages go back to the
+ * system when the buffer dies.
  */
 
 #ifndef CFL_TRACE_TRACE_BUFFER_HH
@@ -30,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "trace/engine.hh"
 #include "workloads/program.hh"
@@ -38,12 +47,18 @@
 namespace cfl
 {
 
-/** The storage a TraceBuffer's columns are carved from. */
-struct TraceArena
+/** One stored branch of a TraceBuffer. */
+struct TraceBranch
 {
-    std::unique_ptr<std::byte[]> bytes;
-    std::uint64_t size = 0;
+    Addr pc;
+    Addr target;
+    std::uint32_t pos;             ///< instruction index in the trace
+    std::uint32_t requestId : 28;  ///< checked to fit when built
+    std::uint32_t kind : 3;        ///< BranchKind
+    std::uint32_t taken : 1;
 };
+
+static_assert(sizeof(TraceBranch) == 24, "TraceBranch must stay packed");
 
 /** One immutable pre-generated instruction trace. */
 class TraceBuffer
@@ -51,15 +66,10 @@ class TraceBuffer
   public:
     /**
      * Generate the first @p num_insts instructions of
-     * ExecEngine(program, params) into @p arena, which must then hold
-     * exactly arenaBytesFor(num_insts) bytes, or into a fresh arena
-     * when none is given.
+     * ExecEngine(program, params).
      */
     TraceBuffer(const Program &program, const EngineParams &params,
-                std::uint64_t num_insts, TraceArena arena = {});
-
-    /** Take the arena of @p buf, which nothing else may reference. */
-    static TraceArena reclaimArena(std::shared_ptr<TraceBuffer> buf);
+                std::uint64_t num_insts);
 
     TraceBuffer(const TraceBuffer &) = delete;
     TraceBuffer &operator=(const TraceBuffer &) = delete;
@@ -67,37 +77,65 @@ class TraceBuffer
     /** Instructions stored. */
     std::uint64_t size() const { return numInsts_; }
 
-    /** Load instruction @p i into @p out. */
+    /** Branches stored. */
+    std::uint64_t numBranches() const { return numBranches_; }
+
+    /** Instruction index of branch @p b; size() for b == numBranches(). */
+    std::uint64_t posAt(std::uint64_t b) const { return branches_[b].pos; }
+
+    /** PC of branch @p b. */
+    Addr pcAt(std::uint64_t b) const { return branches_[b].pc; }
+
+    /** Taken flag of branch @p b. */
+    bool takenAt(std::uint64_t b) const { return branches_[b].taken != 0; }
+
+    /** Load branch @p b into @p out. */
     void
-    read(std::uint64_t i, DynInst &out) const
+    read(std::uint64_t b, DynInst &out) const
     {
-        out.pc = pc_[i];
-        out.target = target_[i];
-        out.requestId = requestId_[i];
-        out.kind = static_cast<BranchKind>(kind_[i]);
-        out.taken = taken_[i] != 0;
+        const TraceBranch &r = branches_[b];
+        out.pc = r.pc;
+        out.kind = static_cast<BranchKind>(r.kind);
+        out.taken = r.taken != 0;
+        out.target = r.target;
+        out.requestId = r.requestId;
     }
-
-    /** PC of instruction @p i (region starts need only the pc column). */
-    Addr pcAt(std::uint64_t i) const { return pc_[i]; }
-
-    /** Taken flag of instruction @p i (touch-only walks need just this
-     *  one column per branch). */
-    bool takenAt(std::uint64_t i) const { return taken_[i] != 0; }
 
     /**
-     * Branch-skip predecode index: the instruction indices of every
-     * branch in the trace, ascending. Built once with the trace and
-     * shared by every replayer, it lets a region walk jump from branch
-     * to branch instead of materializing each non-branch instruction.
+     * Ordinal of the first branch at or after instruction @p i
+     * (numBranches() when none is), searching from ordinal @p from.
      */
-    const std::uint32_t *branchPositions() const
+    std::uint64_t branchAtOrAfter(std::uint64_t i,
+                                  std::uint64_t from = 0) const;
+
+    /**
+     * PC of instruction @p i, where @p h = branchAtOrAfter(i): the
+     * stream runs straight from i up to branch h (or the tail).
+     */
+    Addr
+    instPc(std::uint64_t i, std::uint64_t h) const
     {
-        return branchPos_.data();
+        const TraceBranch &r = branches_[h];
+        return r.pc - (r.pos - i) * kInstBytes;
     }
 
-    /** Number of entries in branchPositions(). */
-    std::uint64_t numBranches() const { return branchPos_.size(); }
+    /**
+     * Load instruction @p i into @p out, where @p h =
+     * branchAtOrAfter(i). True when it is branch h itself.
+     */
+    bool
+    readInst(std::uint64_t i, std::uint64_t h, DynInst &out) const
+    {
+        const TraceBranch &r = branches_[h];
+        if (r.pos == i) {
+            read(h, out);
+            return true;
+        }
+        out = DynInst{};
+        out.pc = instPc(i, h);
+        out.requestId = r.requestId;
+        return false;
+    }
 
     /** Generator state after the last stored instruction. */
     const EngineSnapshot &tailSnapshot() const { return tail_; }
@@ -105,31 +143,32 @@ class TraceBuffer
     /** The parameters the trace was generated with. */
     const EngineParams &params() const { return tail_.params; }
 
-    /** Arena footprint in bytes (for cache budgeting). */
-    std::uint64_t arenaBytes() const { return arena_.size; }
+    /** Bytes this buffer occupies, its tail snapshot included. */
+    std::uint64_t footprintBytes() const;
 
-    /** Arena bytes a buffer of @p num_insts instructions will occupy. */
+    /**
+     * Upper bound on the branch records of a @p num_insts-instruction
+     * buffer (every instruction a branch). The tail snapshot, a few
+     * KB, is not bounded in advance.
+     */
     static std::uint64_t
-    arenaBytesFor(std::uint64_t num_insts)
+    maxRecordBytesFor(std::uint64_t num_insts)
     {
-        return num_insts * (2 * sizeof(Addr) + sizeof(std::uint32_t) +
-                            2 * sizeof(std::uint8_t));
+        return (num_insts + 1) * sizeof(TraceBranch);
     }
 
   private:
+    /** Unmaps the record pages. */
+    struct Unmap
+    {
+        std::size_t bytes;
+        void operator()(TraceBranch *records) const;
+    };
+
     std::uint64_t numInsts_;
-    TraceArena arena_;
-
-    // Column views into the arena.
-    const Addr *pc_ = nullptr;
-    const Addr *target_ = nullptr;
-    const std::uint32_t *requestId_ = nullptr;
-    const std::uint8_t *kind_ = nullptr;
-    const std::uint8_t *taken_ = nullptr;
-
-    /** Instruction indices of every branch, ascending (predecode). */
-    std::vector<std::uint32_t> branchPos_;
-
+    std::uint64_t numBranches_ = 0;
+    /** Every branch in stream order, then the tail sentinel. */
+    std::unique_ptr<TraceBranch[], Unmap> branches_;
     EngineSnapshot tail_;
 };
 

@@ -118,23 +118,16 @@ TraceCache::bypasses() const
     return bypasses_;
 }
 
-std::uint64_t
-TraceCache::reusedArenas() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return reusedArenas_;
-}
-
 bool
 TraceCache::makeRoom(std::uint64_t needed, Evicted &evicted,
                      const Entry *exclude)
 {
     // Caller holds mutex_. Drop idle buffers (the cache holds the only
     // reference) in LRU order until the new trace fits; they move to
-    // @p evicted, which the caller releases (or reuses) unlocked.
-    // @p exclude is the entry being refreshed: its old buffer's charge
-    // is accounted separately by the caller.
-    while (chargedBytes_ + needed > budgetBytes_) {
+    // @p evicted, which the caller releases unlocked. @p exclude is the
+    // entry being refreshed: its old buffer's charge is accounted
+    // separately by the caller.
+    while (chargedBytes_ + reservedBytes_ + needed > budgetBytes_) {
         Entry *victim = nullptr;
         for (auto &[key, entry] : entries_) {
             if (entry.get() == exclude || entry->buf == nullptr ||
@@ -186,7 +179,7 @@ TraceCache::acquire(WorkloadId workload, std::uint64_t seed,
     // trace once; entry mutexes are always taken before the global one.
     std::lock_guard<std::mutex> gen(entry->genMutex);
 
-    const std::uint64_t bytes = TraceBuffer::arenaBytesFor(length);
+    const std::uint64_t bound = TraceBuffer::maxRecordBytesFor(length);
     Evicted evicted;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -199,8 +192,8 @@ TraceCache::acquire(WorkloadId workload, std::uint64_t seed,
         // fit, so a failed fit keeps the shorter trace servable.
         const std::uint64_t old_charge = entry->charged;
         chargedBytes_ -= old_charge;
-        if (bytes > budgetBytes_ ||
-            !makeRoom(bytes, evicted, entry.get())) {
+        if (bound > budgetBytes_ ||
+            !makeRoom(bound, evicted, entry.get())) {
             chargedBytes_ += old_charge;
             ++bypasses_;
             return nullptr;
@@ -210,20 +203,8 @@ TraceCache::acquire(WorkloadId workload, std::uint64_t seed,
             entry->charged = 0;
             evicted.push_back(std::move(entry->buf));
         }
-        chargedBytes_ += bytes;  // reserve before the unlocked generation
+        reservedBytes_ += bound;  // held through the unlocked generation
     }
-
-    // Nothing but `evicted` can reach the evicted buffers any more, so a
-    // use count of 1 stays 1: build the new trace in the first arena of
-    // the right size and free the rest before generating.
-    TraceArena arena;
-    for (std::shared_ptr<TraceBuffer> &victim : evicted) {
-        if (victim.use_count() == 1 && victim->arenaBytes() == bytes) {
-            arena = TraceBuffer::reclaimArena(std::move(victim));
-            break;
-        }
-    }
-    const bool reused = arena.bytes != nullptr;
     evicted.clear();
 
     std::shared_ptr<TraceBuffer> buf;
@@ -233,20 +214,24 @@ TraceCache::acquire(WorkloadId workload, std::uint64_t seed,
         buf = std::make_shared<TraceBuffer>(
             program, EngineParams{seed, wparams.zipfSkew,
                                   wparams.branchNoise},
-            length, std::move(arena));
+            length);
     } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
-        chargedBytes_ -= bytes;
+        reservedBytes_ -= bound;
         --lookups_;
         throw;
     }
 
+    // True up: the buffer's real footprint replaces the reservation.
+    // Only the tail snapshot can take it past the bound, and then idle
+    // buffers make way as for any other charge.
     std::lock_guard<std::mutex> lock(mutex_);
+    reservedBytes_ -= bound;
     entry->buf = buf;
-    entry->charged = bytes;
+    entry->charged = buf->footprintBytes();
+    chargedBytes_ += entry->charged;
+    makeRoom(0, evicted, entry.get());
     ++misses_;
-    if (reused)
-        ++reusedArenas_;
     return buf;
 }
 

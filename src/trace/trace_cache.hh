@@ -9,19 +9,19 @@
  * in one process, the common case for figure benches, calibration runs,
  * and the perf harness — replay instead of regenerating.
  *
- * Memory/speed trade-off: a buffer costs 22 bytes per instruction, so
- * full-length traces are large. The cache enforces a byte budget
- * (CONFLUENCE_TRACE_CACHE_MB, default 512; 0 disables caching): least-
- * recently-used idle buffers are dropped to make room, and when a new
- * trace cannot fit even after eviction, acquire() returns nullptr and
- * the caller simply keeps generating live — behaviour is bit-identical
- * either way, only the speed differs.
- *
- * When making room evicts an idle buffer whose arena is exactly the size
- * the new trace needs, the new TraceBuffer is built in that arena, whose
- * pages are already faulted in, instead of freeing it and allocating a
- * fresh one. Evicted buffers are released only after the cache mutex is
- * dropped, so a large unmap never stalls other acquires.
+ * Memory/speed trade-off: a buffer stores only its branches, 4-7 bytes
+ * per instruction on the presets (TraceBuffer::footprintBytes). The
+ * cache enforces a byte budget (CONFLUENCE_TRACE_CACHE_MB, default 512;
+ * 0 disables caching) over those real footprints. Generating a trace
+ * first reserves TraceBuffer::maxRecordBytesFor(length), a bound the
+ * footprint cannot exceed but for its few-KB tail snapshot; once the
+ * buffer exists the reservation is replaced by its footprint (trued
+ * up). Least-recently-used idle buffers are dropped to make room, and
+ * when a new trace cannot fit even after eviction, acquire() returns
+ * nullptr and the caller simply keeps generating live — behaviour is
+ * bit-identical either way, only the speed differs. Evicted buffers
+ * are released only after the cache mutex is dropped, so a large unmap
+ * never stalls other acquires.
  */
 
 #ifndef CFL_TRACE_TRACE_CACHE_HH
@@ -43,7 +43,7 @@ namespace cfl
 class TraceCache
 {
   public:
-    /** @param budget_bytes maximum cached arena bytes; 0 disables. */
+    /** @param budget_bytes maximum cached bytes; 0 disables. */
     explicit TraceCache(std::uint64_t budget_bytes);
 
     /**
@@ -63,6 +63,8 @@ class TraceCache
     void clear();
 
     std::uint64_t budgetBytes() const;
+    /** Footprint of the cached buffers (reservations of traces being
+     *  generated count against the budget but not here). */
     std::uint64_t cachedBytes() const;
 
     /**
@@ -78,15 +80,13 @@ class TraceCache
     std::uint64_t misses() const;
     /** acquire() calls the budget turned away. */
     std::uint64_t bypasses() const;
-    /** Misses whose buffer was built in an evicted buffer's arena. */
-    std::uint64_t reusedArenas() const;
 
   private:
     struct Entry;
     using Evicted = std::vector<std::shared_ptr<TraceBuffer>>;
 
     /** Drop idle LRU entries (other than @p exclude) into @p evicted
-     *  until @p needed fits; true on success. */
+     *  until @p needed more bytes fit; true on success. */
     bool makeRoom(std::uint64_t needed, Evicted &evicted,
                   const Entry *exclude = nullptr);
 
@@ -94,13 +94,13 @@ class TraceCache
     std::map<std::pair<int, std::uint64_t>, std::shared_ptr<Entry>>
         entries_;
     std::uint64_t budgetBytes_;
-    std::uint64_t chargedBytes_ = 0;
+    std::uint64_t chargedBytes_ = 0;   ///< footprints of cached buffers
+    std::uint64_t reservedBytes_ = 0;  ///< bounds of traces in generation
     std::uint64_t useClock_ = 0;
     std::uint64_t lookups_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t bypasses_ = 0;
-    std::uint64_t reusedArenas_ = 0;
 };
 
 /**

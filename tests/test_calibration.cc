@@ -161,7 +161,7 @@ TEST(CalibrationGolden, QuickScaleGeomeanSpeedup)
 {
     EXPECT_NEAR(goldenSweep().geomeanSpeedup(FrontendKind::Confluence,
                                              FrontendKind::Baseline),
-                1.217584361106137, 1e-9);
+                1.2379787569254748, 1e-9);
 }
 
 TEST(CalibrationGolden, QuickScaleBtbMpki)
@@ -172,10 +172,10 @@ TEST(CalibrationGolden, QuickScaleBtbMpki)
     EXPECT_NEAR(r.btbMpki(FrontendKind::Baseline, WorkloadId::WebFrontend),
                 46.867382831542919, 1e-9);
     EXPECT_NEAR(r.btbMpki(FrontendKind::Confluence, WorkloadId::DssQry),
-                5.097474512627437, 1e-9);
+                4.8774878062804845, 1e-9);
     EXPECT_NEAR(r.btbMpki(FrontendKind::Confluence,
                           WorkloadId::WebFrontend),
-                19.57, 1e-9);
+                18.377454056364858, 1e-9);
 }
 
 TEST(CalibrationGolden, QuickScaleRawCounters)
@@ -202,13 +202,13 @@ TEST(CalibrationGolden, QuickScaleRawCounters)
 
     const CoreMetrics cfl_dss =
         counters(FrontendKind::Confluence, WorkloadId::DssQry);
-    EXPECT_EQ(cfl_dss.retired, 400002u);
-    EXPECT_EQ(cfl_dss.cycles, 237071u);
-    EXPECT_EQ(cfl_dss.btbTakenMisses, 2039u);
+    EXPECT_EQ(cfl_dss.retired, 400001u);
+    EXPECT_EQ(cfl_dss.cycles, 239920u);
+    EXPECT_EQ(cfl_dss.btbTakenMisses, 1951u);
 
     const CoreMetrics cfl_web =
         counters(FrontendKind::Confluence, WorkloadId::WebFrontend);
-    EXPECT_EQ(cfl_web.retired, 400000u);
-    EXPECT_EQ(cfl_web.cycles, 282384u);
-    EXPECT_EQ(cfl_web.btbTakenMisses, 7828u);
+    EXPECT_EQ(cfl_web.retired, 400001u);
+    EXPECT_EQ(cfl_web.cycles, 269913u);
+    EXPECT_EQ(cfl_web.btbTakenMisses, 7351u);
 }

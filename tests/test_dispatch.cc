@@ -433,22 +433,48 @@ TEST(DispatchedSweep, FailedAttemptIsRetriedAsAFreshTask)
     EXPECT_EQ(enqueued.size(), 4u);
 }
 
-TEST(DispatchedSweep, ExhaustedRetriesAreFatal)
+namespace
 {
+
+/** What the DispatchError of a failing dispatch says ("" if none). */
+std::string
+dispatchError(const std::vector<SweepPoint> &points,
+              queue::WorkQueue &queue, const DispatchOptions &opts)
+{
+    try {
+        runDispatchedSweep(points, queue, opts, nullptr, nullptr);
+    } catch (const DispatchError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(DispatchedSweep, ExhaustedRetriesAreReportedInProcess)
+{
+    // A shard that runs out of attempts fails the call, not the
+    // process: the caller gets the error, and the same queue serves
+    // the next dispatch.
     const std::string dir = freshDir("exhaust");
+    const std::vector<SweepPoint> points = tinyGrid();
+    queue::WorkQueue queue(dir + "/queue");
     DispatchOptions opts;
     opts.sweepBin = scriptedSweep(dir, "exit 9");
     opts.workerThreads = 2;
     opts.shards = 1;
     opts.retry.maxAttempts = 3;
-    EXPECT_EXIT(
-        {
-            queue::WorkQueue queue(dir + "/queue");
-            runDispatchedSweep(tinyGrid(), queue, opts, nullptr, nullptr);
-        },
-        ::testing::ExitedWithCode(1),
-        "shard 0 failed after 3 attempt\\(s\\) \\(last exit 9\\)");
+    EXPECT_EQ(dispatchError(points, queue, opts),
+              "shard 0 failed after 3 attempt(s) (last exit 9)");
     EXPECT_EQ(countLines(dir + "/runs.log"), 3u);
+    EXPECT_EQ(queue.pendingCount() + queue.claimedCount(), 0u);
+
+    opts.sweepBin = CFL_SWEEP_BIN;
+    DispatchStats stats;
+    const SweepResult merged =
+        runDispatchedSweep(points, queue, opts, nullptr, &stats);
+    EXPECT_EQ(sweepio::encodeResult(merged), referenceBytes(points));
+    EXPECT_EQ(stats.attempts, 1u);
 }
 
 TEST(DispatchedSweep, CorruptShardExitCodeIsNeverRetried)
@@ -461,13 +487,9 @@ TEST(DispatchedSweep, CorruptShardExitCodeIsNeverRetried)
     opts.workerThreads = 2;
     opts.shards = 1;
     opts.retry.maxAttempts = 5;
-    EXPECT_EXIT(
-        {
-            queue::WorkQueue queue(dir + "/queue");
-            runDispatchedSweep(tinyGrid(), queue, opts, nullptr, nullptr);
-        },
-        ::testing::ExitedWithCode(1),
-        "failed after 1 attempt\\(s\\) \\(last exit 3\\)");
+    queue::WorkQueue queue(dir + "/queue");
+    EXPECT_EQ(dispatchError(tinyGrid(), queue, opts),
+              "shard 0 failed after 1 attempt(s) (last exit 3)");
     EXPECT_EQ(countLines(dir + "/runs.log"), 1u);
 }
 

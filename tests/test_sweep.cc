@@ -161,16 +161,24 @@ TEST(Sweep, WithBaselineAppendsOnlyWhenMissing)
     EXPECT_EQ(unchanged.size(), 2u);
 }
 
-TEST(Sweep, PointSeedIsPureAndDistinct)
+TEST(Sweep, PointSeedDependsOnTheWorkloadOnly)
 {
-    const auto s1 =
-        sweepPointSeed(FrontendKind::Baseline, WorkloadId::DssQry);
-    EXPECT_EQ(s1,
-              sweepPointSeed(FrontendKind::Baseline, WorkloadId::DssQry));
-    EXPECT_NE(s1, sweepPointSeed(FrontendKind::Confluence,
-                                 WorkloadId::DssQry));
-    EXPECT_NE(s1, sweepPointSeed(FrontendKind::Baseline,
-                                 WorkloadId::OltpDb2));
+    // Common random numbers: every design of a workload replays the
+    // same streams, and different workloads get different seeds.
+    const std::vector<WorkloadId> &workloads = allWorkloads();
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const auto seed =
+            sweepPointSeed(FrontendKind::Baseline, workloads[w]);
+        for (const FrontendKind kind : allFrontendKinds())
+            EXPECT_EQ(sweepPointSeed(kind, workloads[w]), seed)
+                << frontendKindName(kind) << " on "
+                << workloadSlug(workloads[w]);
+        for (std::size_t v = 0; v < w; ++v)
+            EXPECT_NE(sweepPointSeed(FrontendKind::Baseline, workloads[v]),
+                      seed)
+                << workloadSlug(workloads[v]) << " vs "
+                << workloadSlug(workloads[w]);
+    }
 }
 
 TEST(Sweep, EmptySweepYieldsEmptyResult)

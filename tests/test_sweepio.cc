@@ -750,5 +750,5 @@ TEST(SweepioShard, TwoShardFileMergeMatchesWholeSweep)
     // pinned in test_calibration.cc.
     EXPECT_NEAR(merged.geomeanSpeedup(FrontendKind::Confluence,
                                       FrontendKind::Baseline),
-                1.217584361106137, 1e-9);
+                1.2379787569254748, 1e-9);
 }

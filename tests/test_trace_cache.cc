@@ -158,16 +158,25 @@ TEST(TraceBuffer, BulkFillMatchesPerInstructionGeneration)
                     std::make_shared<const TraceBuffer>(program, params, n);
                 ASSERT_EQ(buf->size(), n);
                 DynInst got;
-                std::vector<std::uint32_t> branches;
+                std::vector<std::uint64_t> branches;
                 for (std::uint64_t i = 0; i < n; ++i) {
-                    buf->read(i, got);
+                    const std::uint64_t h = buf->branchAtOrAfter(i);
+                    ASSERT_EQ(buf->instPc(i, h), ref[i].pc) << "inst " << i;
+                    ASSERT_EQ(buf->readInst(i, h, got), is_branch(i))
+                        << "inst " << i;
                     expectSameInst(ref[i], got, i);
                     if (is_branch(i))
-                        branches.push_back(static_cast<std::uint32_t>(i));
+                        branches.push_back(i);
                 }
                 ASSERT_EQ(buf->numBranches(), branches.size());
-                EXPECT_TRUE(std::equal(branches.begin(), branches.end(),
-                                       buf->branchPositions()));
+                for (std::uint64_t b = 0; b < branches.size(); ++b) {
+                    ASSERT_EQ(buf->posAt(b), branches[b]) << "branch " << b;
+                    EXPECT_EQ(buf->pcAt(b), ref[branches[b]].pc);
+                    EXPECT_EQ(buf->takenAt(b), ref[branches[b]].taken);
+                    buf->read(b, got);
+                    expectSameInst(ref[branches[b]], got, branches[b]);
+                }
+                EXPECT_EQ(buf->posAt(buf->numBranches()), n) << "sentinel";
                 EXPECT_EQ(buf->tailSnapshot().instCount, n);
 
                 // Tail continuation: replay crosses into live generation.
@@ -177,6 +186,123 @@ TEST(TraceBuffer, BulkFillMatchesPerInstructionGeneration)
                     expectSameInst(ref[i], replay.next(), i);
                 EXPECT_FALSE(replay.replaying());
             }
+        }
+    }
+}
+
+namespace
+{
+
+/** Instructions a default-scale timing point replays per core: warmup
+ *  plus measurement plus Cmp::prepareTraces' slack, rounded up to the
+ *  cache's 64K-instruction granule. */
+std::uint64_t
+table1TraceLength()
+{
+    const RunScale scale;
+    const std::uint64_t n =
+        scale.timingWarmupInsts + scale.timingMeasureInsts + 4096;
+    return (n + 0xffff) / 0x10000 * 0x10000;
+}
+
+} // namespace
+
+TEST(TraceBuffer, FullLengthReplayMatchesLiveOnEveryPreset)
+{
+    // A default-scale stream of every preset, replayed through the
+    // engine instruction by instruction and checked branch by branch
+    // against live generation. Its footprint stays within 8 bytes per
+    // instruction, branch records, sentinel and tail snapshot included.
+    const std::uint64_t n = table1TraceLength();
+    for (const WorkloadId wl : allWorkloads()) {
+        SCOPED_TRACE(workloadSlug(wl));
+        const Program &program = workloadProgram(wl);
+        const EngineParams params = paramsFor(wl, 0x5eed);
+        auto buf = std::make_shared<const TraceBuffer>(program, params, n);
+        EXPECT_LE(buf->footprintBytes(), 8 * n)
+            << static_cast<double>(buf->footprintBytes()) / n
+            << " bytes per instruction";
+
+        ExecEngine live(program, params);
+        ExecEngine replay(program, params);
+        replay.attachTrace(buf);
+        std::uint64_t b = 0;
+        DynInst stored;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const DynInst &want = live.next();
+            expectSameInst(want, replay.next(), i);
+            if (!want.isBranch())
+                continue;
+            ASSERT_EQ(buf->posAt(b), i) << "branch " << b;
+            ASSERT_EQ(buf->pcAt(b), want.pc) << "branch " << b;
+            ASSERT_EQ(buf->takenAt(b), want.taken) << "branch " << b;
+            buf->read(b, stored);
+            expectSameInst(want, stored, i);
+            ++b;
+        }
+        EXPECT_EQ(b, buf->numBranches());
+        EXPECT_TRUE(replay.replaying());
+        expectSameInst(live.next(), replay.next(), n);
+        EXPECT_FALSE(replay.replaying());
+    }
+}
+
+TEST(TraceBuffer, RandomPeekSkipAndFastForwardMatchLive)
+{
+    // Random interleavings of peek, next, skipReplay and fastForward on
+    // a short buffer, crossing its tail into live generation; the
+    // engine's branch cursor must track its instruction cursor.
+    constexpr std::uint64_t kBuffered = 30'000;
+    constexpr std::uint64_t kStream = 3 * kBuffered;
+    for (const WorkloadId wl : allWorkloads()) {
+        SCOPED_TRACE(workloadSlug(wl));
+        const Program &program = workloadProgram(wl);
+        const EngineParams params = paramsFor(wl, 0xface);
+        ExecEngine live(program, params);
+        std::vector<DynInst> ref;
+        for (std::uint64_t i = 0; i < kStream + 6000; ++i)
+            ref.push_back(live.next());
+        auto buf =
+            std::make_shared<const TraceBuffer>(program, params, kBuffered);
+
+        for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+            ExecEngine engine(program, params);
+            engine.attachTrace(buf);
+            Rng sched(seed);
+            std::uint64_t pos = 0;
+            while (pos < kStream) {
+                if (engine.replaying()) {
+                    ASSERT_EQ(engine.replayCursor(),
+                              pos + engine.peekPending());
+                    ASSERT_EQ(engine.replayBranchCursor(),
+                              buf->branchAtOrAfter(engine.replayCursor()));
+                }
+                const std::uint64_t n = 1 + sched.nextBelow(
+                    sched.nextBelow(8) == 0 ? 5000 : 40);
+                switch (sched.nextBelow(4)) {
+                  case 0:
+                    expectSameInst(engine.peek(), ref[pos], pos);
+                    break;
+                  case 1:
+                    expectSameInst(engine.next(), ref[pos], pos);
+                    ++pos;
+                    break;
+                  case 2:
+                    if (engine.replaying() && !engine.peekPending() &&
+                        engine.replayCursor() + n <= buf->size()) {
+                        engine.skipReplay(n);
+                        pos += n;
+                    }
+                    break;
+                  default:
+                    engine.fastForward(n);
+                    pos += n;
+                    break;
+                }
+                ASSERT_EQ(engine.instCount() - engine.peekPending(), pos);
+            }
+            EXPECT_FALSE(engine.replaying()) << "walk never left the buffer";
+            expectSameInst(engine.next(), ref[pos], pos);
         }
     }
 }
@@ -238,11 +364,12 @@ TEST(TraceCache, DifferentSeedsDiffer)
     // The streams themselves must diverge (same program, different RNG).
     bool diverged = false;
     DynInst ia, ib;
-    for (std::uint64_t i = 0; i < a->size() && !diverged; ++i) {
+    const std::uint64_t n = std::min(a->numBranches(), b->numBranches());
+    for (std::uint64_t i = 0; i < n && !diverged; ++i) {
         a->read(i, ia);
         b->read(i, ib);
-        diverged = ia.pc != ib.pc || ia.taken != ib.taken ||
-                   ia.target != ib.target;
+        diverged = a->posAt(i) != b->posAt(i) || ia.pc != ib.pc ||
+                   ia.taken != ib.taken || ia.target != ib.target;
     }
     EXPECT_TRUE(diverged);
 }
@@ -311,82 +438,41 @@ TEST(TraceCache, PartitionHoldsUnderConcurrentAcquires)
 
 TEST(TraceCache, BudgetEvictsIdleLru)
 {
-    // Budget fits roughly one rounded-up trace at a time.
-    TraceCache cache(TraceBuffer::arenaBytesFor(1 << 16) + 1024);
+    // Budget fits the generation bound of one rounded-up trace: a
+    // generation reserves the bound, and the budget then charges each
+    // cached buffer its real footprint, well below the bound.
+    const std::uint64_t bound = TraceBuffer::maxRecordBytesFor(1 << 16);
+    TraceCache cache(bound + 1024);
     auto a = cache.acquire(WorkloadId::DssQry, 1, 10'000);
     ASSERT_NE(a, nullptr);
+    EXPECT_EQ(cache.cachedBytes(), a->footprintBytes());
+    EXPECT_LT(a->footprintBytes(), bound / 2);
     a.reset();  // make it idle so it is evictable
 
     auto b = cache.acquire(WorkloadId::DssQry, 2, 10'000);
     ASSERT_NE(b, nullptr) << "idle LRU entry must be evicted to make room";
+    EXPECT_EQ(cache.cachedBytes(), b->footprintBytes()) << "a was evicted";
 
     // While b is still referenced it cannot be evicted, so a third
     // distinct trace is turned away rather than overcommitting.
     EXPECT_EQ(cache.acquire(WorkloadId::DssQry, 3, 10'000), nullptr);
     EXPECT_GE(cache.bypasses(), 1u);
-}
-
-TEST(TraceCache, EvictionHandsTheArenaToTheNextTrace)
-{
-    // Budget fits one single-granule trace: acquiring b evicts a.
-    const WorkloadId wl = WorkloadId::OltpDb2;
-    TraceCache cache(TraceBuffer::arenaBytesFor(1 << 16) + 1024);
-    auto a = cache.acquire(wl, 1, 10'000);
-    ASSERT_NE(a, nullptr);
-    EXPECT_LE(cache.cachedBytes(), cache.budgetBytes());
-    a.reset();  // idle, so evictable
-
-    auto b = cache.acquire(wl, 2, 10'000);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(cache.reusedArenas(), 1u) << "b must be built in a's arena";
-    EXPECT_LE(cache.cachedBytes(), cache.budgetBytes());
-
-    // Every byte of a's old arena was rewritten: b equals a fresh b,
-    // column for column, branch for branch, and past its tail.
-    const Program &program = workloadProgram(wl);
-    auto fresh = std::make_shared<const TraceBuffer>(
-        program, paramsFor(wl, 2), b->size());
-    ASSERT_EQ(b->arenaBytes(), fresh->arenaBytes());
-    DynInst x, y;
-    for (std::uint64_t i = 0; i < b->size(); ++i) {
-        b->read(i, x);
-        fresh->read(i, y);
-        expectSameInst(y, x, i);
-    }
-    ASSERT_EQ(b->numBranches(), fresh->numBranches());
-    EXPECT_TRUE(std::equal(b->branchPositions(),
-                           b->branchPositions() + b->numBranches(),
-                           fresh->branchPositions()));
-    ExecEngine from_b(program, paramsFor(wl, 2));
-    ExecEngine from_fresh(program, paramsFor(wl, 2));
-    from_b.attachTrace(b);
-    from_fresh.attachTrace(fresh);
-    for (std::uint64_t i = 0; i < b->size() + 1000; ++i)
-        expectSameInst(from_fresh.next(), from_b.next(), i);
-
-    // A buffer still referenced is never recycled.
-    EXPECT_EQ(cache.acquire(wl, 3, 10'000), nullptr);
-    EXPECT_EQ(cache.reusedArenas(), 1u);
-
-    // Nor is an idle one of another size: it is freed instead.
-    cache.setBudgetBytes(TraceBuffer::arenaBytesFor(2 << 16) + 1024);
-    b.reset();
-    auto c = cache.acquire(wl, 3, 100'000);
-    ASSERT_NE(c, nullptr);
-    EXPECT_EQ(cache.reusedArenas(), 1u);
+    EXPECT_EQ(cache.cachedBytes(), b->footprintBytes());
     EXPECT_LE(cache.cachedBytes(), cache.budgetBytes());
 }
 
 TEST(TraceCache, FailedUpgradeKeepsShorterBuffer)
 {
-    // Budget fits one single-granule trace but not a two-granule one.
-    TraceCache cache(TraceBuffer::arenaBytesFor(1 << 16) + 1024);
+    // Budget fits the bound of a single-granule trace but not that of a
+    // two-granule one.
+    TraceCache cache(TraceBuffer::maxRecordBytesFor(1 << 16) + 1024);
     auto small = cache.acquire(WorkloadId::DssQry, 1, 10'000);
     ASSERT_NE(small, nullptr);
 
     // Upgrading the same key beyond the budget must fail without
     // destroying the still-servable shorter buffer.
     EXPECT_EQ(cache.acquire(WorkloadId::DssQry, 1, 100'000), nullptr);
+    EXPECT_EQ(cache.cachedBytes(), small->footprintBytes());
     auto again = cache.acquire(WorkloadId::DssQry, 1, 10'000);
     EXPECT_EQ(again.get(), small.get())
         << "failed upgrade must not evict the shorter trace";
@@ -449,7 +535,44 @@ TEST(TraceCacheGolden, CachedSweepIsBitIdenticalToLive)
     // (tests/test_calibration.cc pins the same value).
     EXPECT_NEAR(cached.geomeanSpeedup(FrontendKind::Confluence,
                                       FrontendKind::Baseline),
-                1.217584361106137, 1e-9);
+                1.2379787569254748, 1e-9);
+}
+
+TEST(TraceCacheGolden, ColdFig06SweepGeneratesOneStreamPerWorkloadCore)
+{
+    // Every design of a workload replays the same streams, so a cold
+    // quick-scale fig06 grid generates one trace per (workload, core)
+    // and serves every other lookup from the cache.
+    const std::uint64_t saved = traceCache().budgetBytes();
+    traceCache().setBudgetBytes(512ull << 20);  // the default budget
+    traceCache().clear();
+    const std::uint64_t lookups = traceCache().lookups();
+    const std::uint64_t hits = traceCache().hits();
+    const std::uint64_t misses = traceCache().misses();
+    const std::uint64_t bypasses = traceCache().bypasses();
+
+    const std::vector<FrontendKind> kinds = {
+        FrontendKind::Baseline,      FrontendKind::Fdp,
+        FrontendKind::PhantomFdp,    FrontendKind::TwoLevelFdp,
+        FrontendKind::TwoLevelShift, FrontendKind::Confluence,
+        FrontendKind::Ideal,
+    };
+    const RunScale scale = scaleByName("quick");
+    SweepEngine engine;
+    const SweepResult r =
+        runTimingSweep(kinds, allWorkloads(), makeSystemConfig(1), scale,
+                       engine);
+    traceCache().setBudgetBytes(saved);
+
+    const std::uint64_t streams = allWorkloads().size() * scale.timingCores;
+    const std::uint64_t points = kinds.size() * allWorkloads().size();
+    ASSERT_EQ(r.points.size(), points);
+    EXPECT_EQ(traceCache().misses() - misses, streams);
+    EXPECT_EQ(traceCache().lookups() - lookups,
+              points * scale.timingCores);
+    EXPECT_EQ(traceCache().hits() - hits, (points - allWorkloads().size()) *
+                                              scale.timingCores);
+    EXPECT_EQ(traceCache().bypasses() - bypasses, 0u);
 }
 
 // Once its traces are cached, a sweep allocates per point (building the

@@ -382,8 +382,13 @@ main(int argc, char **argv)
     if (local)
         opts.quit = &queue::quitOnSignal();
     dispatch::DispatchStats stats;
-    const SweepResult merged = dispatch::runDispatchedSweep(
-        points, wq, opts, cache.get(), &stats);
+    SweepResult merged;
+    try {
+        merged = dispatch::runDispatchedSweep(points, wq, opts, cache.get(),
+                                              &stats);
+    } catch (const dispatch::DispatchError &e) {
+        cfl_fatal("%s", e.what());
+    }
     if (const int sig = queue::caughtSignal()) {
         std::fprintf(stderr, "dispatch interrupted by signal %d; running "
                      "shards killed, %s kept for a restart\n",

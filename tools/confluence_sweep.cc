@@ -5,7 +5,8 @@
  * to the single-process run.
  *
  * The determinism chain that makes this safe: per-point RNG seeds are
- * pure functions of the point coordinates (sweepPointSeed), shards are
+ * pure functions of the point's workload, shared by every design
+ * (sweepPointSeed), shards are
  * contiguous slices by stable point index (sweepio/shard.hh), and the
  * codec serializes only integers and enum slugs (sweepio/codec.hh) —
  * so shard processes compute exactly the points the whole-sweep process

@@ -16,9 +16,12 @@ have run.
 
 For each workload it prints every pair's wall_s (the run's median over
 its cold repetitions), the head/base ratio and the 95% t-interval of the
-mean paired log ratio. It exits 1 when an interval lies wholly above
-+5% (a slowdown the pairs can tell from noise), when any run reports
-an incorrect result, or when any run exits non-zero; 2 on bad usage.
+mean paired log ratio, and the median peak_rss_mb of each side. It exits
+1 when an interval lies wholly above +5% (a slowdown the pairs can tell
+from noise), when the head's median peak_rss_mb exceeds the base's by
+more than 5% (RSS spreads under 1% run to run, so no interval is
+needed), when any run reports an incorrect result, or when any run exits
+non-zero; 2 on bad usage.
 """
 
 import json
@@ -42,6 +45,7 @@ HALF_WIDTH = 0.05        # stop adding pairs once every interval is this tight
 CXX = "g++-13"
 POOL = 4                 # perfbench/run.py's sweep pool
 SLOWDOWN_LIMIT = 1.05    # fail when the whole interval lies above this
+RSS_LIMIT = 1.05         # fail when head/base median peak RSS exceeds this
 
 # Two-sided 95% Student t quantiles, by degrees of freedom (pairs - 1).
 T975 = {4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262,
@@ -53,16 +57,19 @@ def log(msg):
 
 
 class Run:
-    """One run.py invocation: exit code, correctness and wall_s."""
+    """One run.py invocation: exit code, correctness, wall_s and
+    peak_rss_mb."""
 
-    def __init__(self, code, correct, wall_s):
+    def __init__(self, code, correct, wall_s, rss_mb):
         self.code = code
         self.correct = correct
         self.wall_s = wall_s
+        self.rss_mb = rss_mb
 
     @property
     def ok(self):
-        return self.code == 0 and self.correct and self.wall_s is not None
+        return (self.code == 0 and self.correct and self.wall_s is not None
+                and self.rss_mb is not None)
 
 
 def ratio_interval(ratios):
@@ -115,6 +122,9 @@ def verdict(pairs):
             elif run.wall_s is None:
                 problems.append("pair %d: %s run reported no wall_s"
                                 % (i, side))
+            elif run.rss_mb is None:
+                problems.append("pair %d: %s run reported no peak_rss_mb"
+                                % (i, side))
     if problems:
         return None, None, None, problems
     ratio, lo, hi = ratio_interval([h.wall_s / b.wall_s for b, h in pairs])
@@ -122,7 +132,18 @@ def verdict(pairs):
         problems.append("head is slower: wall_s ratio %.4f, 95%% CI "
                         "[%.4f, %.4f] lies above %.2f"
                         % (ratio, lo, hi, SLOWDOWN_LIMIT))
+    base_rss, head_rss = rss_medians(pairs)
+    if head_rss > RSS_LIMIT * base_rss:
+        problems.append("head uses more memory: median peak_rss_mb %.1f "
+                        "against %.1f, over %.2fx"
+                        % (head_rss, base_rss, RSS_LIMIT))
     return ratio, lo, hi, problems
+
+
+def rss_medians(pairs):
+    """Median peak_rss_mb of the base and of the head runs."""
+    return (benchlib.median([b.rss_mb for b, _ in pairs]),
+            benchlib.median([h.rss_mb for _, h in pairs]))
 
 
 def run_side(tree, workload, env):
@@ -134,10 +155,13 @@ def run_side(tree, workload, env):
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
-        wall = result["metrics"]["wall_s"]["value"]
-        return Run(proc.returncode, bool(result["correct"]), wall)
+        metrics = result["metrics"]
+        return Run(proc.returncode, bool(result["correct"]),
+                   metrics["wall_s"]["value"],
+                   metrics["peak_rss_mb"]["value"])
     except (IndexError, KeyError, ValueError):
-        return Run(proc.returncode if proc.returncode else 1, False, None)
+        return Run(proc.returncode if proc.returncode else 1, False, None,
+                   None)
 
 
 def built_compiler(tree):
@@ -155,7 +179,7 @@ def built_compiler(tree):
 def fmt(run):
     if not run.ok:
         return "FAILED(exit %d, correct %s)" % (run.code, run.correct)
-    return "%.3f s" % run.wall_s
+    return "%.3f s %.0f MB" % (run.wall_s, run.rss_mb)
 
 
 def git(*args):
@@ -220,10 +244,12 @@ def main():
             ratio, lo, hi, problems = verdict(pairs[w])
             if ratio is not None:
                 print("%s: head/base wall_s %.4f, 95%% CI [%.4f, %.4f]; "
-                      "median base %.3f s, head %.3f s" % (
-                          w, ratio, lo, hi,
-                          benchlib.median([b.wall_s for b, _ in pairs[w]]),
-                          benchlib.median([h.wall_s for _, h in pairs[w]])))
+                      "median base %.3f s, head %.3f s; median peak RSS "
+                      "base %.1f MB, head %.1f MB" % (
+                          (w, ratio, lo, hi,
+                           benchlib.median([b.wall_s for b, _ in pairs[w]]),
+                           benchlib.median([h.wall_s for _, h in pairs[w]]))
+                          + rss_medians(pairs[w])))
             for p in problems:
                 log("FAIL %s: %s" % (w, p))
             failed |= bool(problems)

@@ -10,8 +10,9 @@ import perf_ab
 from perf_ab import Run
 
 
-def pairs_of(ratios, base_wall=20.0):
-    return [(Run(0, True, base_wall), Run(0, True, base_wall * r))
+def pairs_of(ratios, base_wall=20.0, base_rss=200.0, rss_ratio=1.0):
+    return [(Run(0, True, base_wall, base_rss),
+             Run(0, True, base_wall * r, base_rss * rss_ratio))
             for r in ratios]
 
 
@@ -41,16 +42,43 @@ class Gate(unittest.TestCase):
 
     def test_one_incorrect_run_fails(self):
         pairs = pairs_of([1.0, 1.0, 1.0, 1.0, 1.0])
-        pairs[2] = (pairs[2][0], Run(0, False, 20.0))
+        pairs[2] = (pairs[2][0], Run(0, False, 20.0, 200.0))
         ratio, _, _, problems = perf_ab.verdict(pairs)
         self.assertIsNone(ratio)
         self.assertEqual(problems, ["pair 3: head run was incorrect"])
 
     def test_nonzero_exit_fails(self):
         pairs = pairs_of([1.0, 1.0, 1.0, 1.0, 1.0])
-        pairs[0] = (Run(2, False, None), pairs[0][1])
+        pairs[0] = (Run(2, False, None, None), pairs[0][1])
         _, _, _, problems = perf_ab.verdict(pairs)
         self.assertEqual(problems, ["pair 1: base run exited 2"])
+
+    def test_peak_rss_over_five_percent_fails(self):
+        # Equal speed, 6% more memory: the RSS gate alone fails it.
+        _, _, _, problems = perf_ab.verdict(
+            pairs_of([1.02, 0.97, 1.01, 0.99, 1.03], rss_ratio=1.06))
+        self.assertEqual(len(problems), 1)
+        self.assertIn("more memory", problems[0])
+
+    def test_peak_rss_within_five_percent_passes(self):
+        _, _, _, problems = perf_ab.verdict(
+            pairs_of([1.02, 0.97, 1.01, 0.99, 1.03], rss_ratio=1.04))
+        self.assertEqual(problems, [])
+
+    def test_peak_rss_gate_uses_medians(self):
+        # One head run far above the base does not move the median.
+        pairs = pairs_of([1.0, 1.0, 1.0, 1.0, 1.0])
+        pairs[1] = (pairs[1][0], Run(0, True, 20.0, 400.0))
+        self.assertEqual(perf_ab.rss_medians(pairs), (200.0, 200.0))
+        self.assertEqual(perf_ab.verdict(pairs)[3], [])
+
+    def test_missing_peak_rss_fails(self):
+        pairs = pairs_of([1.0, 1.0, 1.0, 1.0, 1.0])
+        pairs[4] = (pairs[4][0], Run(0, True, 20.0, None))
+        ratio, _, _, problems = perf_ab.verdict(pairs)
+        self.assertIsNone(ratio)
+        self.assertEqual(problems,
+                         ["pair 5: head run reported no peak_rss_mb"])
 
     def test_interval_is_the_t_interval_of_the_log_ratios(self):
         ratios = [1.1, 0.9, 1.05, 0.95, 1.0]
@@ -80,7 +108,8 @@ def synthetic(center, noise):
     head/base ratio center * noise[i % len(noise)]."""
     def run_pair(i):
         ratio = center * noise[i % len(noise)]
-        return {w: (Run(0, True, 20.0), Run(0, True, 20.0 * ratio))
+        return {w: (Run(0, True, 20.0, 200.0),
+                    Run(0, True, 20.0 * ratio, 200.0))
                 for w in perf_ab.WORKLOADS}
     return run_pair
 
@@ -115,8 +144,8 @@ class AddedPairs(unittest.TestCase):
         def run_pair(i):
             pair = synthetic(1.0, [1.2, 0.8])(i)
             if i == 1:
-                pair["fig06_exact"] = (Run(0, True, 20.0),
-                                       Run(1, False, None))
+                pair["fig06_exact"] = (Run(0, True, 20.0, 200.0),
+                                       Run(1, False, None, None))
             return pair
         pairs = perf_ab.collect(run_pair)
         self.assertEqual(len(pairs["fig06_exact"]), 2)
